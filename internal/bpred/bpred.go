@@ -36,12 +36,67 @@ type taggedEntry struct {
 	valid bool
 }
 
+// tagBits is the width of a tagged-table tag.
+const tagBits = 9
+
+// foldedHist is a global history of histLen bits folded (XOR of
+// consecutive width-bit chunks) into width bits, kept current one
+// outcome at a time: shifting the history rotates the fold left by one,
+// brings the new outcome in at bit 0, and cancels the outcome that just
+// left the window at bit histLen mod width (TAGE's circular folds).
+type foldedHist struct {
+	val    uint64
+	width  uint   // fold width, 1..63
+	mask   uint64 // 1<<width - 1; 0 for an empty history, whose fold stays 0
+	outPos uint   // histLen mod width: where the leaving outcome sits in val
+}
+
+func newFoldedHist(histLen, width int) foldedHist {
+	if histLen <= 0 {
+		return foldedHist{}
+	}
+	return foldedHist{
+		width:  uint(width),
+		mask:   1<<uint(width) - 1,
+		outPos: uint(min(histLen, 64) % width),
+	}
+}
+
+// shift takes outcome b into the fold; out is the outcome leaving the
+// history window.
+func (f *foldedHist) shift(b, out uint64) {
+	v := f.val<<1 | b
+	v ^= out << (f.outPos & 63)
+	v ^= v >> (f.width & 63)
+	f.val = v & f.mask
+}
+
+// taggedTable is one tagged table with its folded index and tag
+// histories.
+type taggedTable struct {
+	entries []taggedEntry
+	outBit  uint       // histLen-1: the global-history bit leaving the window
+	idxHist foldedHist // histLen bits folded into TaggedBits
+	tagHist foldedHist // histLen bits folded into tagBits
+}
+
+// providerMemo is the provider walk of the latest Predict. Tables and
+// history change only in Update, so until the next Update it is exactly
+// the walk Update would repeat for the same pc.
+type providerMemo struct {
+	pc    uint64
+	table int    // provider table, -1 for the bimodal table
+	idx   uint64 // entry index in the provider table
+	ok    bool
+}
+
 // Predictor is the combined direction predictor, BTB, and RAS.
 type Predictor struct {
 	cfg     Config
 	bimodal []int8 // 2-bit saturating counters, taken if >= 2 (range 0..3)
-	tagged  [][]taggedEntry
+	tagged  []taggedTable
 	hist    uint64 // global history, youngest outcome in bit 0
+	memo    providerMemo
 
 	btbTags    []uint32
 	btbTargets []uint64
@@ -67,38 +122,25 @@ func New(cfg Config) *Predictor {
 	for i := range p.bimodal {
 		p.bimodal[i] = 2 // weakly taken
 	}
-	p.tagged = make([][]taggedEntry, len(cfg.HistLens))
-	for i := range p.tagged {
-		p.tagged[i] = make([]taggedEntry, 1<<cfg.TaggedBits)
+	p.tagged = make([]taggedTable, len(cfg.HistLens))
+	entries := make([]taggedEntry, len(cfg.HistLens)<<cfg.TaggedBits)
+	for i, hl := range cfg.HistLens {
+		n := 1 << cfg.TaggedBits
+		p.tagged[i] = taggedTable{
+			entries: entries[i*n : (i+1)*n : (i+1)*n],
+			outBit:  uint(max(min(hl, 64)-1, 0)),
+			idxHist: newFoldedHist(hl, cfg.TaggedBits),
+			tagHist: newFoldedHist(hl, tagBits),
+		}
 	}
 	return p
 }
 
-// foldHistory compresses histLen bits of global history into bits wide.
-func foldHistory(hist uint64, histLen, bits int) uint64 {
-	if histLen > 64 {
-		histLen = 64
-	}
-	var masked uint64
-	if histLen == 64 {
-		masked = hist
-	} else {
-		masked = hist & ((1 << uint(histLen)) - 1)
-	}
-	var folded uint64
-	for masked != 0 {
-		folded ^= masked & ((1 << uint(bits)) - 1)
-		masked >>= uint(bits)
-	}
-	return folded
-}
-
-func (p *Predictor) taggedIndex(table int, pc uint64) (idx uint64, tag uint16) {
-	bits := p.cfg.TaggedBits
-	h := foldHistory(p.hist, p.cfg.HistLens[table], bits)
-	idx = ((pc >> 2) ^ h ^ (pc >> uint(bits+2))) & ((1 << uint(bits)) - 1)
-	t := foldHistory(p.hist, p.cfg.HistLens[table], 9)
-	tag = uint16(((pc >> 2) ^ (t << 1)) & 0x1FF)
+// taggedIndex returns the entry index and tag for pc in table t.
+func (p *Predictor) taggedIndex(t *taggedTable, pc uint64) (idx uint64, tag uint16) {
+	bits := uint(p.cfg.TaggedBits)
+	idx = ((pc >> 2) ^ t.idxHist.val ^ (pc >> (bits + 2))) & (1<<bits - 1)
+	tag = uint16(((pc >> 2) ^ (t.tagHist.val << 1)) & (1<<tagBits - 1))
 	return idx, tag
 }
 
@@ -106,15 +148,27 @@ func (p *Predictor) bimodalIndex(pc uint64) uint64 {
 	return (pc >> 2) & ((1 << uint(p.cfg.BimodalBits)) - 1)
 }
 
+// provider returns the longest-history table whose entry for pc matches
+// its tag and that entry's index, or table -1 (the bimodal table
+// provides).
+func (p *Predictor) provider(pc uint64) (table int, idx uint64) {
+	for t := len(p.tagged) - 1; t >= 0; t-- {
+		tt := &p.tagged[t]
+		idx, tag := p.taggedIndex(tt, pc)
+		if e := &tt.entries[idx]; e.valid && e.tag == tag {
+			return t, idx
+		}
+	}
+	return -1, 0
+}
+
 // Predict returns the predicted direction for a conditional branch at pc.
 func (p *Predictor) Predict(pc uint64) bool {
 	p.Lookups++
-	for t := len(p.tagged) - 1; t >= 0; t-- {
-		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
-			return e.ctr >= 0
-		}
+	t, idx := p.provider(pc)
+	p.memo = providerMemo{pc: pc, table: t, idx: idx, ok: true}
+	if t >= 0 {
+		return p.tagged[t].entries[idx].ctr >= 0
 	}
 	return p.bimodal[p.bimodalIndex(pc)] >= 2
 }
@@ -123,26 +177,26 @@ func (p *Predictor) Predict(pc uint64) bool {
 // global history. Call it exactly once per dynamic conditional branch, in
 // program order.
 func (p *Predictor) Update(pc uint64, taken bool) {
-	pred := p.predictInternal(pc)
-	correct := pred == taken
-
-	// Train the provider (longest matching table, else bimodal).
-	provider := -1
-	for t := len(p.tagged) - 1; t >= 0; t-- {
-		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
-			provider = t
-			if taken && e.ctr < 1 {
-				e.ctr++
-			} else if !taken && e.ctr > -2 {
-				e.ctr--
-			}
-			break
-		}
+	// One walk finds the provider (longest matching table, else bimodal),
+	// which is also the prediction Predict made against this state. When
+	// Predict(pc) was the last call, its walk is still current.
+	provider, idx := p.memo.table, p.memo.idx
+	if !p.memo.ok || p.memo.pc != pc {
+		provider, idx = p.provider(pc)
 	}
-	if provider < 0 {
+	p.memo.ok = false
+	var correct bool
+	if provider >= 0 {
+		e := &p.tagged[provider].entries[idx]
+		correct = (e.ctr >= 0) == taken
+		if taken && e.ctr < 1 {
+			e.ctr++
+		} else if !taken && e.ctr > -2 {
+			e.ctr--
+		}
+	} else {
 		bi := p.bimodalIndex(pc)
+		correct = (p.bimodal[bi] >= 2) == taken
 		if taken && p.bimodal[bi] < 3 {
 			p.bimodal[bi]++
 		} else if !taken && p.bimodal[bi] > 0 {
@@ -154,8 +208,8 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 	if !correct {
 		p.Mispredicts++
 		for t := provider + 1; t < len(p.tagged); t++ {
-			idx, tag := p.taggedIndex(t, pc)
-			e := &p.tagged[t][idx]
+			idx, tag := p.taggedIndex(&p.tagged[t], pc)
+			e := &p.tagged[t].entries[idx]
 			if !e.valid || e.ctr == 0 || e.ctr == -1 {
 				var ctr int8 = -1
 				if taken {
@@ -167,20 +221,14 @@ func (p *Predictor) Update(pc uint64, taken bool) {
 		}
 	}
 
-	p.hist = p.hist<<1 | boolBit(taken)
-}
-
-// predictInternal is Predict without stats, used by Update to determine
-// correctness against the same state Predict saw.
-func (p *Predictor) predictInternal(pc uint64) bool {
-	for t := len(p.tagged) - 1; t >= 0; t-- {
-		idx, tag := p.taggedIndex(t, pc)
-		e := &p.tagged[t][idx]
-		if e.valid && e.tag == tag {
-			return e.ctr >= 0
-		}
+	b := boolBit(taken)
+	for t := range p.tagged {
+		tt := &p.tagged[t]
+		out := p.hist >> (tt.outBit & 63) & 1
+		tt.idxHist.shift(b, out)
+		tt.tagHist.shift(b, out)
 	}
-	return p.bimodal[p.bimodalIndex(pc)] >= 2
+	p.hist = p.hist<<1 | b
 }
 
 func boolBit(b bool) uint64 {

@@ -20,8 +20,8 @@ type Config struct {
 
 // Validate checks the geometry.
 func (c Config) Validate() error {
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("cache: line size %d is not a positive power of two", c.LineBytes)
+	if c.LineBytes < 8 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache: line size %d is not a power of two of at least 8", c.LineBytes)
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("cache: associativity %d must be positive", c.Assoc)
@@ -36,18 +36,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	spec  bool // written speculatively (SLTP SRL mode)
-	used  uint64
-}
+// A way's tag word packs the line address with three state flags in its
+// (always zero) line-offset bits: tag|valid|dirty|spec.
+const (
+	specBit  uint64 = 1 << iota // written speculatively (SLTP SRL mode)
+	dirtyBit                    // holds data newer than the next level
+	validBit                    // holds a line
+	flagBits = specBit | dirtyBit | validBit
+)
 
 // Cache is a set-associative tag array. Create with New.
+//
+// Way w of set s lives at index s*assoc+w of two flat parallel arrays:
+// the packed tag words and the LRU stamps. A lookup scans assoc
+// contiguous words.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	tags      []uint64 // packed tag words
+	used      []uint64 // LRU stamps: clock at the way's last touch
 	setMask   uint64
 	lineShift uint
 	clock     uint64
@@ -107,20 +113,16 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.SizeBytes / (cfg.LineBytes * cfg.Assoc)
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Assoc)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
-	}
+	ways := cfg.SizeBytes / cfg.LineBytes
 	shift := uint(0)
 	for 1<<shift != cfg.LineBytes {
 		shift++
 	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
-		setMask:   uint64(numSets - 1),
+		tags:      make([]uint64, ways),
+		used:      make([]uint64, ways),
+		setMask:   uint64(ways/cfg.Assoc - 1),
 		lineShift: shift,
 		victim:    make([]victimLine, cfg.VictimEntries),
 		victimCap: cfg.VictimEntries,
@@ -133,17 +135,19 @@ func (c *Cache) LineAddr(addr uint64) uint64 { return addr &^ uint64(c.cfg.LineB
 // LineBytes returns the configured line size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }
 
-func (c *Cache) set(addr uint64) []line { return c.sets[(addr>>c.lineShift)&c.setMask] }
+// setBase returns the index of way 0 of addr's set.
+func (c *Cache) setBase(addr uint64) int { return int((addr>>c.lineShift)&c.setMask) * c.cfg.Assoc }
 
-func (c *Cache) find(addr uint64) *line {
-	tag := addr >> c.lineShift
-	set := c.set(addr)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i]
+// find returns the index of the valid way holding addr's line, or -1.
+func (c *Cache) find(addr uint64) int {
+	want := c.LineAddr(addr) | validBit
+	base := c.setBase(addr)
+	for i := base; i < base+c.cfg.Assoc; i++ {
+		if c.tags[i]&^(specBit|dirtyBit) == want {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Lookup performs an access. On a hit it updates LRU state and returns
@@ -152,10 +156,10 @@ func (c *Cache) find(addr uint64) *line {
 // dirty on a hit.
 func (c *Cache) Lookup(addr uint64, write bool) bool {
 	c.clock++
-	if l := c.find(addr); l != nil {
-		l.used = c.clock
+	if i := c.find(addr); i >= 0 {
+		c.used[i] = c.clock
 		if write {
-			l.dirty = true
+			c.tags[i] |= dirtyBit
 		}
 		c.Hits++
 		return true
@@ -179,7 +183,7 @@ func (c *Cache) Lookup(addr uint64, write bool) bool {
 // Probe reports whether addr is present without updating LRU or stats.
 // The victim buffer is included.
 func (c *Cache) Probe(addr uint64) bool {
-	if c.find(addr) != nil {
+	if c.find(addr) >= 0 {
 		return true
 	}
 	la := c.LineAddr(addr)
@@ -207,41 +211,46 @@ func (c *Cache) InsertSpeculative(addr uint64) {
 // MarkSpeculative tags an already-present line as speculatively written.
 // It reports whether the line was present.
 func (c *Cache) MarkSpeculative(addr uint64) bool {
-	if l := c.find(addr); l != nil {
-		l.spec = true
-		l.dirty = true
+	if i := c.find(addr); i >= 0 {
+		c.tags[i] |= specBit | dirtyBit
 		return true
 	}
 	return false
 }
 
 func (c *Cache) insertLine(addr uint64, dirty, spec bool) (evicted uint64, dirtyEvict bool) {
-	tag := addr >> c.lineShift
-	set := c.set(addr)
+	var flags uint64
+	if dirty {
+		flags |= dirtyBit
+	}
+	if spec {
+		flags |= specBit
+	}
 	c.clock++
 	// Refill into an existing copy (MSHR merge already filled it).
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
-			set[i].dirty = set[i].dirty || dirty
-			set[i].spec = set[i].spec || spec
-			return 0, false
+	if i := c.find(addr); i >= 0 {
+		c.used[i] = c.clock
+		c.tags[i] |= flags
+		return 0, false
+	}
+	// Fill the first invalid way, else evict the least recently used one
+	// (optionally into the victim buffer).
+	base := c.setBase(addr)
+	vi := -1
+	lru := base
+	for i := base; i < base+c.cfg.Assoc; i++ {
+		if c.tags[i]&validBit == 0 {
+			vi = i
+			break
+		}
+		if c.used[i] < c.used[lru] {
+			lru = i
 		}
 	}
-	vi := 0
-	for i := range set {
-		if !set[i].valid {
-			vi = i
-			goto fill
-		}
-		if set[i].used < set[vi].used {
-			vi = i
-		}
-	}
-	// Evict set[vi], optionally into the victim buffer.
-	{
-		evLine := set[vi].tag << c.lineShift
-		evDirty := set[vi].dirty
+	if vi < 0 {
+		vi = lru
+		evLine := c.tags[vi] &^ flagBits
+		evDirty := c.tags[vi]&dirtyBit != 0
 		if c.victimCap > 0 {
 			if old, ev := c.victimPush(victimLine{evLine, evDirty}); ev {
 				evicted, dirtyEvict = old.lineAddr, old.dirty
@@ -250,16 +259,16 @@ func (c *Cache) insertLine(addr uint64, dirty, spec bool) (evicted uint64, dirty
 			evicted, dirtyEvict = evLine, evDirty
 		}
 	}
-fill:
-	set[vi] = line{tag: tag, valid: true, dirty: dirty, spec: spec, used: c.clock}
+	c.tags[vi] = c.LineAddr(addr) | validBit | flags
+	c.used[vi] = c.clock
 	return evicted, dirtyEvict
 }
 
 // Invalidate removes the line containing addr if present (victim buffer
 // included). It reports whether a line was removed.
 func (c *Cache) Invalidate(addr uint64) bool {
-	if l := c.find(addr); l != nil {
-		l.valid = false
+	if i := c.find(addr); i >= 0 {
+		c.tags[i] = 0
 		return true
 	}
 	la := c.LineAddr(addr)
@@ -276,13 +285,10 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // how many were flushed. SLTP calls this at the start of each rally.
 func (c *Cache) FlushSpeculative() int {
 	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
-				c.sets[si][i].valid = false
-				c.sets[si][i].spec = false
-				n++
-			}
+	for i, w := range c.tags {
+		if w&(validBit|specBit) == validBit|specBit {
+			c.tags[i] = 0
+			n++
 		}
 	}
 	return n
@@ -292,12 +298,10 @@ func (c *Cache) FlushSpeculative() int {
 // writes permanent (SLTP does this when a rally completes successfully).
 func (c *Cache) CommitSpeculative() int {
 	n := 0
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			if c.sets[si][i].valid && c.sets[si][i].spec {
-				c.sets[si][i].spec = false
-				n++
-			}
+	for i, w := range c.tags {
+		if w&(validBit|specBit) == validBit|specBit {
+			c.tags[i] = w &^ specBit
+			n++
 		}
 	}
 	return n
@@ -305,11 +309,8 @@ func (c *Cache) CommitSpeculative() int {
 
 // Reset invalidates the whole cache and clears statistics.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for i := range c.sets[si] {
-			c.sets[si][i] = line{}
-		}
-	}
+	clear(c.tags)
+	clear(c.used)
 	c.vHead, c.vLen = 0, 0
 	c.clock = 0
 	c.Hits, c.Misses, c.VictimHits = 0, 0, 0

@@ -1,22 +1,16 @@
 package cache
 
-// Clone returns a deep copy of the cache: tag arrays, victim buffer, LRU
-// clock, and statistics. The copy shares nothing mutable with the
-// original, so warmed cache state can be checkpointed once and handed to
-// any number of simulations (pipeline.WarmState). Cloning must be exact —
-// a simulation started from a clone behaves byte-identically to one
-// started from the original — which the warm-state equivalence tests pin.
+// Clone returns a deep copy of the cache: tag words, LRU stamps, victim
+// buffer, LRU clock, and statistics. The copy shares nothing mutable with
+// the original, so warmed cache state can be checkpointed once and handed
+// to any number of simulations (pipeline.WarmState). Cloning must be
+// exact — a simulation started from a clone behaves byte-identically to
+// one started from the original — which the warm-state equivalence tests
+// pin.
 func (c *Cache) Clone() *Cache {
 	cl := *c
-	numSets := len(c.sets)
-	backing := make([]line, numSets*c.cfg.Assoc)
-	cl.sets = make([][]line, numSets)
-	for i := range cl.sets {
-		dst := backing[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc : (i+1)*c.cfg.Assoc]
-		copy(dst, c.sets[i])
-		cl.sets[i] = dst
-	}
-	cl.victim = make([]victimLine, len(c.victim))
-	copy(cl.victim, c.victim)
+	cl.tags = append([]uint64(nil), c.tags...)
+	cl.used = append([]uint64(nil), c.used...)
+	cl.victim = append([]victimLine(nil), c.victim...)
 	return &cl
 }

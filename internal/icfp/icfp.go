@@ -812,7 +812,11 @@ func (r *run) execLoad(idx int, t int64) (loadOutcome, int64) {
 
 	acc := r.hier.Data(t, in.Addr, false)
 	if acc.Done <= t+pipe+int64(r.cfg.FrontDepth) {
-		r.sig.Insert(in.Addr)
+		if r.mode == modeAdvance {
+			// Only loads younger than the checkpoint are vulnerable:
+			// a squash cannot undo anything older.
+			r.sig.Insert(in.Addr)
+		}
 		d := acc.Done + pipe
 		if m := t + pipe; d < m {
 			d = m
@@ -981,6 +985,7 @@ func (r *run) enterAdvance(idx int) {
 	r.res.Advances++
 	r.ckpt = pipeline.TakeCheckpoint(&r.board, idx)
 	r.ckptSSN = r.csb.Tail()
+	r.sig.Clear() // the signature covers loads since this checkpoint only
 	r.seqCtr = 0
 	for k := range r.board.Seq {
 		r.board.Seq[k] = 0

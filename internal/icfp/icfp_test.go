@@ -4,6 +4,9 @@ import (
 	"testing"
 
 	"icfp/internal/inorder"
+	"icfp/internal/isa"
+	"icfp/internal/mem"
+	"icfp/internal/memimage"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
 	"icfp/internal/workload"
@@ -233,5 +236,69 @@ func TestSignatureSquashOnVulnerableLoad(t *testing.T) {
 	r := m.Run(workload.SPEC("mcf", 120_000))
 	if r.Squashes == 0 {
 		t.Fatal("periodic conflicting external stores must cause squashes")
+	}
+}
+
+// signatureWorkload is a lone L2 miss with one cache-hit load of hot
+// either just before the miss (older than the checkpoint the miss takes)
+// or just after it (inside the checkpoint's epoch), then independent
+// filler that keeps the checkpoint open while the miss is outstanding.
+func signatureWorkload(hot uint64, hotFirst bool) *workload.Workload {
+	const miss = 0x9000_0000
+	var insts []isa.Inst
+	pc := uint64(0x40_0000)
+	emit := func(in isa.Inst) {
+		in.PC, pc = pc, pc+4
+		insts = append(insts, in)
+	}
+	hotLoad := func() {
+		emit(isa.Inst{Op: isa.OpLoad, Dst: isa.IntReg(20), Src1: isa.RegNone, Src2: isa.RegNone, Addr: hot, Size: 8})
+	}
+	if hotFirst {
+		hotLoad()
+	}
+	emit(isa.Inst{Op: isa.OpLoad, Dst: isa.IntReg(10), Src1: isa.RegNone, Src2: isa.RegNone, Addr: miss, Size: 8})
+	emit(isa.Inst{Op: isa.OpALU, Dst: isa.IntReg(11), Src1: isa.IntReg(10), Src2: isa.RegNone})
+	if !hotFirst {
+		hotLoad()
+	}
+	for i := 0; i < 40; i++ {
+		emit(isa.Inst{Op: isa.OpALU, Dst: isa.IntReg(21 + i%8), Src1: isa.RegNone, Src2: isa.RegNone})
+	}
+	return &workload.Workload{
+		Name:  "signature",
+		Trace: &isa.Trace{Name: "signature", Insts: insts},
+		Mem:   memimage.New(),
+		Prewarm: func(h *mem.Hierarchy) {
+			for i := range insts {
+				h.ICache.Insert(insts[i].PC, false)
+				h.L2.Insert(insts[i].PC, false)
+			}
+			h.DCache.Insert(hot, false)
+			h.L2.Insert(hot, false)
+		},
+	}
+}
+
+// TestSignatureCoversOnlyCheckpointEpoch pins the §3.3 signature's scope:
+// an external store to a line read only before the checkpoint cannot
+// conflict with anything a squash would undo, so it must not squash,
+// while the same store to a line read after the checkpoint must.
+func TestSignatureCoversOnlyCheckpointEpoch(t *testing.T) {
+	const hot = 0x9400_0000
+	for _, tc := range []struct {
+		hotFirst bool
+		squash   bool
+	}{{hotFirst: true, squash: false}, {hotFirst: false, squash: true}} {
+		m := New(cfgForTest())
+		m.ExternalStores = []ExternalStoreEvent{{Cycle: 100, Addr: hot}}
+		r := m.Run(signatureWorkload(hot, tc.hotFirst))
+		if r.Advances == 0 {
+			t.Fatal("the miss must open a checkpoint")
+		}
+		if got := r.Squashes > 0; got != tc.squash {
+			t.Errorf("hot load before the checkpoint = %v: squashed %d times, want squash = %v",
+				tc.hotFirst, r.Squashes, tc.squash)
+		}
 	}
 }

@@ -1,11 +1,12 @@
 package icfp
 
 // Signature is the §3.3 multiprocessor-safety filter: a local Bloom-style
-// address signature. Loads that obtain their values from the cache (the
-// ones vulnerable to external stores) insert their addresses; external
-// stores probe it, and a hit forces a squash to the checkpoint. The
-// signature is cleared when a rally completes. It is never communicated
-// between processors.
+// address signature. Loads younger than the outstanding checkpoint that
+// obtain their values from the cache (the ones vulnerable to external
+// stores) insert their addresses; external stores probe it, and a hit
+// forces a squash to the checkpoint. The signature is cleared when a
+// checkpoint is taken and when a rally completes. It is never
+// communicated between processors.
 type Signature struct {
 	bits []uint64
 

@@ -31,3 +31,17 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	cl.MissObserver = nil
 	return &cl
 }
+
+// CloneAs returns a Clone whose configuration is cfg, which must share
+// h's Geometry (it panics otherwise): the tag state is h's, the timing
+// is cfg's. Warm-state checkpoints are taken once per geometry and
+// handed to machines whose latencies differ this way, which is exact
+// because functional warming never reads a timing field.
+func (h *Hierarchy) CloneAs(cfg Config) *Hierarchy {
+	if cfg.Geometry() != h.cfg.Geometry() {
+		panic("mem: CloneAs with a different cache geometry")
+	}
+	cl := h.Clone()
+	cl.cfg = cfg
+	return cl
+}

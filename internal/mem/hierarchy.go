@@ -80,6 +80,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// Geometry returns c with every timing field (L2HitLat, MemLat,
+// MemChunkLat, MemChunkBytes, NumMSHRs) zeroed: what is left fixes which
+// lines the caches hold after a functional access sequence, so two
+// configurations with equal geometry warm to identical tag state.
+func (c Config) Geometry() Config {
+	c.L2HitLat, c.MemLat, c.MemChunkLat, c.MemChunkBytes, c.NumMSHRs = 0, 0, 0, 0, 0
+	return c
+}
+
 // busCycles returns the bus occupancy of one full L2 line transfer.
 func (c Config) busCycles() int64 {
 	chunks := c.L2.LineBytes / c.MemChunkBytes
@@ -140,10 +149,11 @@ type Hierarchy struct {
 	DCache *cache.Cache
 	L2     *cache.Cache
 
-	busFree int64            // cycle at which the memory bus frees
-	pending map[uint64]int64 // in-flight L2-line fills: line -> completion
-	mshrs   []int64          // completion cycles of active MSHRs
-	streams []streamBuf
+	busFree    int64            // cycle at which the memory bus frees
+	pending    map[uint64]int64 // in-flight L2-line fills: line -> completion
+	pendingMax int64            // latest completion ever recorded in pending
+	mshrs      []int64          // completion cycles of active MSHRs
+	streams    []streamBuf
 	// missedLines filters stream allocation: a stream is allocated only
 	// when line X misses and line X-1 missed recently (two consecutive
 	// misses indicate a stream; lone random or pointer-chase misses must
@@ -189,10 +199,15 @@ func (h *Hierarchy) l2Line(addr uint64) uint64 {
 }
 
 // pendingDone returns the completion cycle of an in-flight fill covering
-// addr, or 0 if none. Stale entries are pruned opportunistically.
+// addr, or 0 if none. Once cycle reaches the latest completion ever
+// recorded, every fill has landed and the map is not consulted at all;
+// before that, stale entries are pruned as probes find them. An entry a
+// skipped probe leaves in place still answers a later probe from an
+// earlier cycle (the callers' clocks are not monotonic: fetch lags
+// issue, store drains lead it), which sees the fill as still in flight.
 func (h *Hierarchy) pendingDone(cycle int64, addr uint64) int64 {
-	if len(h.pending) == 0 {
-		return 0 // no in-flight fills: skip the map probe on the hit path
+	if cycle >= h.pendingMax {
+		return 0 // every recorded fill is complete: skip the map probe
 	}
 	line := h.l2Line(addr)
 	done, ok := h.pending[line]
@@ -204,6 +219,12 @@ func (h *Hierarchy) pendingDone(cycle int64, addr uint64) int64 {
 		return 0
 	}
 	return done
+}
+
+// addPending records an in-flight fill of line completing at done.
+func (h *Hierarchy) addPending(line uint64, done int64) {
+	h.pending[line] = done
+	h.pendingMax = max(h.pendingMax, done)
 }
 
 // allocMSHR reserves a miss slot, returning the earliest cycle the miss can
@@ -355,7 +376,7 @@ func (h *Hierarchy) l2Access(cycle int64, addr uint64, write bool) (int64, Level
 		}
 		h.insertL2(addr, write)
 		if ready > cycle {
-			h.pending[line] = done
+			h.addPending(line, done)
 		}
 		return done, LevelStream
 	}
@@ -365,7 +386,7 @@ func (h *Hierarchy) l2Access(cycle int64, addr uint64, write bool) (int64, Level
 	if start > cycle { // MSHR stall pushed the request back
 		done = h.fetchFromMemory(start)
 	}
-	h.pending[line] = done
+	h.addPending(line, done)
 	h.insertL2(addr, write)
 	h.allocStream(cycle, line)
 	return done, LevelMem

@@ -30,6 +30,25 @@ func TestSlotAllocPorts(t *testing.T) {
 	}
 }
 
+// TestPortClassTable pins the port table to the Table 1 port plan for
+// every op value, unknown ones included: memory, fp and control ops share
+// the one fp/load/store/branch port, everything else takes an integer
+// port.
+func TestPortClassTable(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		op := isa.Op(v)
+		var want bool
+		switch op {
+		case isa.OpLoad, isa.OpStore, isa.OpFAdd, isa.OpFMul,
+			isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet:
+			want = true
+		}
+		if IsMemFPBr(op) != want {
+			t.Errorf("IsMemFPBr(%v) = %v, want %v", op, !want, want)
+		}
+	}
+}
+
 func TestSlotAllocPeekDoesNotMutate(t *testing.T) {
 	cfg := DefaultConfig()
 	s := NewSlotAlloc(&cfg)

@@ -10,31 +10,37 @@ import "icfp/internal/isa"
 // Issue times must be requested in non-decreasing order; the allocator
 // advances an internal current cycle and resets counts on each new cycle.
 type SlotAlloc struct {
-	cfg   *Config
 	cycle int64
 	total int
-	ints  int
-	mems  int
+	used  [2]int // slots taken this cycle per port class (portClass)
+	width int
+	limit [2]int // per port class: IntPorts, MemFPBrPorts
 }
 
 // NewSlotAlloc builds an allocator for cfg's port plan.
-func NewSlotAlloc(cfg *Config) *SlotAlloc { return &SlotAlloc{cfg: cfg, cycle: -1} }
+func NewSlotAlloc(cfg *Config) *SlotAlloc {
+	return &SlotAlloc{cycle: -1, width: cfg.Width, limit: [2]int{cfg.IntPorts, cfg.MemFPBrPorts}}
+}
+
+// portClass maps each op to the port class it issues on: 1 for the
+// shared fp/load/store/branch port, 0 for an integer port (unknown ops
+// included).
+var portClass = func() (t [256]uint8) {
+	for _, op := range []isa.Op{isa.OpLoad, isa.OpStore, isa.OpFAdd, isa.OpFMul,
+		isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet} {
+		t[op] = 1
+	}
+	return t
+}()
 
 // IsMemFPBr reports whether op issues on the shared fp/load/store/branch
 // port (as opposed to an integer port).
-func IsMemFPBr(op isa.Op) bool {
-	switch op {
-	case isa.OpLoad, isa.OpStore, isa.OpFAdd, isa.OpFMul,
-		isa.OpBranch, isa.OpJump, isa.OpCall, isa.OpRet:
-		return true
-	}
-	return false
-}
+func IsMemFPBr(op isa.Op) bool { return portClass[op] == 1 }
 
 func (s *SlotAlloc) advanceTo(cycle int64) {
 	if cycle > s.cycle {
 		s.cycle = cycle
-		s.total, s.ints, s.mems = 0, 0, 0
+		s.total, s.used = 0, [2]int{}
 	}
 }
 
@@ -94,22 +100,13 @@ func (s *SlotAlloc) TryTake(cycle int64, op isa.Op) bool {
 }
 
 func (s *SlotAlloc) fits(op isa.Op) bool {
-	if s.total >= s.cfg.Width {
-		return false
-	}
-	if IsMemFPBr(op) {
-		return s.mems < s.cfg.MemFPBrPorts
-	}
-	return s.ints < s.cfg.IntPorts
+	p := portClass[op] & 1 // the mask lets the compiler drop bounds checks
+	return s.total < s.width && s.used[p] < s.limit[p]
 }
 
 func (s *SlotAlloc) use(op isa.Op) {
 	s.total++
-	if IsMemFPBr(op) {
-		s.mems++
-	} else {
-		s.ints++
-	}
+	s.used[portClass[op]&1]++
 }
 
 // Cycle returns the allocator's current cycle (the last one issued into).

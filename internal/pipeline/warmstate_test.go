@@ -91,3 +91,28 @@ func TestWarmStateMastersAreImmutable(t *testing.T) {
 		t.Fatal("master corrupted by a previous clone's mutations")
 	}
 }
+
+// TestWarmStateKeyExcludesTiming pins the series identity: machines that
+// differ only in timing share one series (one master per prefix), and
+// each gets back a hierarchy configured with its own timing.
+func TestWarmStateKeyExcludesTiming(t *testing.T) {
+	const n, upto = 10_000, 6_000
+	w := workload.SPEC("gzip", n)
+	slow, fast := DefaultConfig().Hier, DefaultConfig().Hier
+	slow.L2HitLat, slow.MemLat, slow.NumMSHRs = 20, 400, 64
+	fast.L2HitLat, fast.MemLat, fast.NumMSHRs = 10, 200, 8
+	bcfg := DefaultConfig().Bpred
+
+	hs, _ := WarmState(w, slow, bcfg, upto)
+	hf, _ := WarmState(w, fast, bcfg, upto)
+	if hs.Config() != slow || hf.Config() != fast {
+		t.Fatalf("clones carry timing %+v and %+v, want the callers' own", hs.Config(), hf.Config())
+	}
+	s := w.SharedState(warmKey(fast.Geometry(), bcfg), func() any {
+		t.Fatal("no series under the geometry key")
+		return nil
+	}).(*warmSeries)
+	if len(s.masters) != 1 {
+		t.Fatalf("%d masters for one prefix at two timings, want 1", len(s.masters))
+	}
+}

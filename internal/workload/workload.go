@@ -23,10 +23,13 @@ import (
 // was generated against and an optional cache pre-warm hook (used by the
 // Figure 1 micro-scenarios to set up exact hit/miss patterns).
 type Workload struct {
-	Name    string
-	Trace   *isa.Trace
-	Mem     *memimage.Image
-	Prewarm func(h *mem.Hierarchy) // optional; called before simulation
+	Name  string
+	Trace *isa.Trace
+	Mem   *memimage.Image
+	// Prewarm, if set, is called before simulation. It may touch cache
+	// tag state only: it runs on a timing-free warm-state master
+	// (pipeline.WarmState).
+	Prewarm func(h *mem.Hierarchy)
 
 	sharedMu sync.Mutex
 	shared   map[string]any
