@@ -1,24 +1,23 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (§5). Each benchmark runs the experiment's
-// simulations and reports the headline quantity as a custom metric, so
+// Benchmark harness: BenchmarkRegistry runs every entry of the
+// experiment registry (the paper's §5 tables and figures), so
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Registry -benchmem
 //
-// regenerates the whole evaluation. Sample sizes are scaled down from the
-// interactive cmd/experiments defaults to keep the harness fast; run
-// cmd/experiments for full-size tables.
+// regenerates the whole evaluation through the same code path as
+// cmd/experiments. Sample sizes are scaled down from the interactive
+// cmd/experiments defaults (-n 150000 -warm 50000) to keep the harness
+// fast; run cmd/experiments for the rendered full-size tables.
 package repro
 
 import (
-	"fmt"
 	"testing"
 
-	"icfp/internal/area"
+	"icfp/internal/exp"
+	"icfp/internal/exp/registry"
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
 	"icfp/internal/pipeline"
 	"icfp/internal/sim"
-	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
 
@@ -33,130 +32,28 @@ func benchCfg() pipeline.Config {
 	return cfg
 }
 
-// geomeanSpeedup runs model over the given benchmarks and returns the
-// geometric-mean percent speedup over in-order.
-func geomeanSpeedup(m sim.Model, cfg pipeline.Config, names []string) float64 {
-	ratios := make([]float64, 0, len(names))
-	for _, name := range names {
-		base := sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-		r := sim.RunSPEC(m, cfg, name, benchTimed)
-		ratios = append(ratios, float64(base.Cycles)/float64(r.Cycles))
-	}
-	return (stats.GeoMean(ratios) - 1) * 100
+// benchParams is the registry at the harness sample size.
+func benchParams() registry.Params {
+	return registry.Params{Cfg: benchCfg(), N: benchTimed}
 }
 
-// BenchmarkFigure5 regenerates the headline comparison: geometric-mean
-// speedup over in-order for each of the four latency-tolerant designs.
-// Paper values: Runahead 11%, Multipass 11%, SLTP 9%, iCFP 16%.
-func BenchmarkFigure5(b *testing.B) {
-	cfg := benchCfg()
-	for _, m := range []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP} {
-		b.Run(m.String(), func(b *testing.B) {
-			var geo float64
-			for i := 0; i < b.N; i++ {
-				geo = geomeanSpeedup(m, cfg, workload.AllSPECNames)
-			}
-			b.ReportMetric(geo, "speedup%")
-		})
-	}
-}
-
-// BenchmarkTable2 regenerates the diagnostics for three representative
-// benchmarks: art (independent misses), swim (streams), mcf (chains).
-func BenchmarkTable2(b *testing.B) {
-	cfg := benchCfg()
-	for _, name := range []string{"art", "swim", "mcf"} {
+// BenchmarkRegistry regenerates the paper's evaluation the way
+// cmd/experiments does: one sub-benchmark per registry entry (every
+// table, figure and study), each a fresh-cache registry run at the
+// harness sample size, reporting how many simulations it took.
+func BenchmarkRegistry(b *testing.B) {
+	p := benchParams()
+	for _, name := range registry.Names() {
 		b.Run(name, func(b *testing.B) {
-			var io, ic pipeline.Result
+			var sims int
 			for i := 0; i < b.N; i++ {
-				io = sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-				ic = sim.RunSPEC(sim.ICFP, cfg, name, benchTimed)
-			}
-			b.ReportMetric(io.DCacheMissPerKI, "D$miss/KI")
-			b.ReportMetric(io.L2MissPerKI, "L2miss/KI")
-			b.ReportMetric(ic.DCacheMLP, "iCFP-dMLP")
-			b.ReportMetric(ic.L2MLP, "iCFP-l2MLP")
-			b.ReportMetric(ic.RallyPerKI, "rally/KI")
-		})
-	}
-}
-
-// BenchmarkFigure6 regenerates the L2 hit-latency sensitivity sweep on
-// the equake profile for the two extreme configurations.
-func BenchmarkFigure6(b *testing.B) {
-	cfg := benchCfg()
-	machines := sim.Figure6Machines()
-	for _, m := range []sim.L2LatencyPoint{machines[1], machines[5]} { // RA-L2, iCFP-all
-		for _, lat := range []int{10, 50} {
-			b.Run(fmt.Sprintf("%s/l2lat=%d", m.Label, lat), func(b *testing.B) {
-				var sp []float64
-				for i := 0; i < b.N; i++ {
-					sp = sim.SweepL2Latency(m.Machine, cfg, "equake", benchTimed, []int{lat})
+				cache := exp.NewCache()
+				if _, err := registry.Run([]string{name}, p, exp.WithCache(cache)); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(sp[0], "speedup%")
-			})
-		}
-	}
-}
-
-// BenchmarkFigure7 regenerates the iCFP feature build on mcf, the
-// benchmark where non-blocking rallies matter most.
-func BenchmarkFigure7(b *testing.B) {
-	cfg := benchCfg()
-	base := sim.RunSPEC(sim.InOrder, cfg, "mcf", benchTimed)
-	for _, build := range sim.FeatureBuildConfigs() {
-		b.Run(build.Label, func(b *testing.B) {
-			var r pipeline.Result
-			for i := 0; i < b.N; i++ {
-				r = sim.NewFromSpec(build.Machine, cfg).Run(workload.SPEC("mcf", cfg.WarmupInsts+benchTimed))
+				sims = cache.Simulations()
 			}
-			b.ReportMetric(r.SpeedupOver(base), "speedup%")
-		})
-	}
-}
-
-// BenchmarkFigure8 regenerates the store-buffer design comparison on swim.
-func BenchmarkFigure8(b *testing.B) {
-	cfg := benchCfg()
-	base := sim.RunSPEC(sim.InOrder, cfg, "swim", benchTimed)
-	for _, sb := range sim.StoreBufferConfigs() {
-		b.Run(sb.Label, func(b *testing.B) {
-			var r pipeline.Result
-			for i := 0; i < b.N; i++ {
-				m := sim.NewFromSpec(sb.Machine, cfg)
-				r = m.Run(workload.SPEC("swim", cfg.WarmupInsts+benchTimed))
-			}
-			b.ReportMetric(r.SpeedupOver(base), "speedup%")
-			b.ReportMetric(r.SBExtraHops, "extra-hops")
-		})
-	}
-}
-
-// BenchmarkPoisonVectors regenerates the §3.4 poison-width study on mcf.
-// Paper: 8 bits gain ~6% over 1 bit on mcf.
-func BenchmarkPoisonVectors(b *testing.B) {
-	for _, bits := range []int{1, 8} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			cfg := benchCfg()
-			cfg.PoisonBits = bits
-			var r pipeline.Result
-			for i := 0; i < b.N; i++ {
-				r = sim.RunSPEC(sim.ICFP, cfg, "mcf", benchTimed)
-			}
-			b.ReportMetric(float64(r.Cycles), "cycles")
-		})
-	}
-}
-
-// BenchmarkAreaModel regenerates the §5.3 overhead estimates.
-func BenchmarkAreaModel(b *testing.B) {
-	for _, d := range area.AllDesigns() {
-		b.Run(d.Name, func(b *testing.B) {
-			var mm2 float64
-			for i := 0; i < b.N; i++ {
-				mm2 = d.Total()
-			}
-			b.ReportMetric(mm2*1000, "mm2/1000")
+			b.ReportMetric(float64(sims), "sims")
 		})
 	}
 }
@@ -189,15 +86,24 @@ func BenchmarkScenarios(b *testing.B) {
 }
 
 // TestEvaluationShape is the integration test of the reproduction: the
-// qualitative claims of §5 must hold on the synthetic suite.
+// qualitative claims of §5 must hold on the synthetic suite, read from
+// the registry's Figure 5 result set at the harness sample size.
 func TestEvaluationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite integration test")
 	}
-	cfg := benchCfg()
+	sets, err := registry.Run([]string{"fig5"}, benchParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := sets["fig5"]
 	geo := map[sim.Model]float64{}
 	for _, m := range []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP} {
-		geo[m] = geomeanSpeedup(m, cfg, workload.AllSPECNames)
+		pairs := make([][2]string, 0, len(workload.AllSPECNames))
+		for _, name := range workload.AllSPECNames {
+			pairs = append(pairs, [2]string{"fig5/" + name + "/" + m.String(), "fig5/" + name + "/base"})
+		}
+		geo[m] = rs.GeoMeanSpeedup(pairs)
 	}
 	t.Logf("geomean speedups: RA %+.1f%% MP %+.1f%% SLTP %+.1f%% iCFP %+.1f%%",
 		geo[sim.Runahead], geo[sim.Multipass], geo[sim.SLTP], geo[sim.ICFP])
@@ -216,9 +122,7 @@ func TestEvaluationShape(t *testing.T) {
 	}
 	// Claim 3: high-miss benchmarks see speedups of 40%+ under iCFP.
 	for _, name := range []string{"ammp", "art"} {
-		base := sim.RunSPEC(sim.InOrder, cfg, name, benchTimed)
-		ic := sim.RunSPEC(sim.ICFP, cfg, name, benchTimed)
-		if sp := ic.SpeedupOver(base); sp < 40 {
+		if sp := rs.Speedup("fig5/"+name+"/iCFP", "fig5/"+name+"/base"); sp < 40 {
 			t.Errorf("%s iCFP speedup %.1f%%, paper reports 40%%+", name, sp)
 		}
 	}

@@ -2,9 +2,8 @@
 // BenchmarkSimRate suite, parses the per-model measurements (simulated
 // Minst/s, B/op and allocs/op), writes them as a perf-trajectory JSON
 // file, and fails when sim rates or allocation counts regressed more
-// than -max-regress relative to the committed baseline (BENCH_PR6.json;
-// older baselines like BENCH_PR2.json share the format and still load
-// via -baseline).
+// than -max-regress relative to the committed baseline (BENCH_PR6.json,
+// or another file of the same format via -baseline).
 //
 //	go run ./cmd/benchgate                 # gate against BENCH_PR6.json
 //	go run ./cmd/benchgate -update         # rewrite the baseline in place

@@ -17,7 +17,7 @@
 // either or both directions:
 //
 //	expd -connect hostA:9700,hostB:9700 -all
-//	expd -accept-workers :9701 -all -cache-file sim.json
+//	expd -accept-workers :9701 -all -store results/
 //	expd -connect hostA:9700 -accept-workers :9701 -run fig5,table2 -n 1000000 -warm 4000000
 //
 // The coordinator plans the deduplicated simulation jobs, shards them
@@ -44,10 +44,11 @@
 // checked before any protocol frame is processed. Leave all of them
 // unset only on loopback or a trusted network.
 //
-// -cache-file works as in cmd/experiments: preloaded results are not
-// re-dispatched (and their recorded wall times pre-seed the cost
-// model), and interrupts or failures save a partial snapshot of
-// everything the workers completed.
+// -store DIR works as in cmd/experiments: results already in the store
+// are not re-dispatched (and their recorded wall times pre-seed the cost
+// model), and every result a worker streams back is written as it
+// merges, so an interrupted or failed run keeps everything the workers
+// completed.
 //
 // Observability: every role accepts -metrics-addr to serve /metrics
 // (Prometheus text, or JSON via ?format=json) and /healthz over plain
@@ -73,9 +74,11 @@ import (
 
 	"icfp/cmd/internal/cliutil"
 	"icfp/internal/dist"
+	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
 	"icfp/internal/obs"
 	"icfp/internal/sim"
+	"icfp/internal/store"
 )
 
 // serveMetrics starts the telemetry endpoint when addr is nonempty and
@@ -304,7 +307,7 @@ func coordMain(args []string) {
 		warm      = fs.Int("warm", 150_000, "warmup instructions per sample")
 		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
 		batch     = fs.Int("batch", 0, "fixed jobs per dispatched batch (0 = cost-aware sizing from per-key estimates)")
-		cacheFile = fs.String("cache-file", "", "load/save the memoization cache from/to this JSON file")
+		storeDir  = fs.String("store", "", "load and persist results in this result-store directory (the expq -store layout)")
 		timeout   = fs.Duration("worker-timeout", 0, "declare a silent worker dead and reassign its batch after this long (must exceed one simulation's duration; 0 = wait forever)")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "beacon a liveness heartbeat to every worker on this interval so idle workers detect a dead coordinator (0 = off)")
 		maxIdle   = fs.Duration("max-idle", 0, "give up an elastic run after this long with zero workers and jobs outstanding (0 = wait forever)")
@@ -340,14 +343,31 @@ func coordMain(args []string) {
 		}
 	}
 
-	cache, saveCache, err := cliutil.PersistentCache("expd", *cacheFile)
-	if err != nil {
-		fatal(err)
-	}
-
+	p := registry.Params{Cfg: sim.DefaultConfig(), N: *n}
+	p.Cfg.WarmupInsts = *warm
 	log := obs.NewLogger(os.Stderr)
 	reg := serveMetrics("", *metrics)
+	cache := exp.NewCache()
 	cache.Instrument(reg)
+	opts := dist.Options{
+		Log: log, FrameTimeout: *timeout, BatchSize: *batch,
+		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg,
+	}
+	persistErr := func() error { return nil }
+	if *storeDir != "" {
+		st, err := store.Open(*storeDir, store.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		plan, err := registry.Plan(names, p)
+		if err == nil {
+			_, err = st.Fill(cache, plan)
+		}
+		if err != nil {
+			fatal(err)
+		}
+		opts.OnMerge, persistErr = st.Persist(cache)
+	}
 
 	var workers []dist.Worker
 	for _, addr := range strings.Split(*connect, ",") {
@@ -363,7 +383,6 @@ func coordMain(args []string) {
 		workers = append(workers, w)
 	}
 
-	var join chan dist.Worker
 	if *accept != "" {
 		ln, err := sec.Listen(*accept)
 		if err != nil {
@@ -372,7 +391,8 @@ func coordMain(args []string) {
 		}
 		log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
 			"tls", sec.CertFile != "", "token_auth", sec.Token != "")
-		join = make(chan dist.Worker)
+		join := make(chan dist.Worker)
+		opts.Join = join
 		runDone := make(chan struct{})
 		go acceptWorkers(ln, *sec, join, runDone, log)
 		// Once the run ends nothing reads the join channel again: stop
@@ -382,21 +402,12 @@ func coordMain(args []string) {
 		defer ln.Close()
 	}
 
-	p := registry.Params{Cfg: sim.DefaultConfig(), N: *n}
-	p.Cfg.WarmupInsts = *warm
-	opts := dist.Options{
-		Log: log, FrameTimeout: *timeout, BatchSize: *batch, Join: join,
-		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg,
+	_, err := registry.ReportDistributed(os.Stdout, names, p, workers, *parallel, cache, opts)
+	if err == nil {
+		err = persistErr()
 	}
-	if _, err := registry.ReportDistributed(os.Stdout, names, p, workers, *parallel, cache, opts); err != nil {
-		if serr := saveCache(); serr != nil {
-			fmt.Fprintln(os.Stderr, "expd: saving cache:", serr)
-		}
+	if err != nil {
 		fatal(err)
-	}
-	// The complete snapshot: failing to persist it is a failed run.
-	if err := saveCache(); err != nil {
-		fatal(fmt.Errorf("saving cache: %w", err))
 	}
 }
 

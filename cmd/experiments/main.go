@@ -73,21 +73,20 @@
 // genuinely new work, and streams back the rendered report —
 // byte-identical to the local run at any fleet shape.
 // -server-token/-server-tls-ca/-server-tls-name authenticate the
-// connection; execution flags (-workers, -cache-file, -json,
-// -run-summary, profiling) conflict with -server, since the daemon owns
-// execution. See docs/OPERATIONS.md, "Running expq".
+// connection; execution flags (-workers, -store, -json, -run-summary,
+// profiling) conflict with -server, since the daemon owns execution. See
+// docs/OPERATIONS.md, "Running expq".
 //
-// -cache-file FILE persists the memoization cache across invocations:
-// results are loaded before the run and the merged cache is saved after
-// it, so re-running (or running a different selection that shares work)
-// skips simulations already on disk. Cache entries are keyed by
-// canonical machine/workload specs; a snapshot from the older
-// fingerprint-keyed schema is ignored with a warning and regenerated.
-// Interrupts (SIGINT/SIGTERM) and mid-run errors save a partial snapshot
-// of the completed simulations before exiting, so long runs never lose
-// finished work. Results are deterministic, so a cache built by an older
-// simulator version must be deleted after any behavioural change — the
-// golden tests pin when that happens.
+// -store DIR keeps results across invocations in the content-addressed
+// result store (internal/store, the layout `expq -store` uses): the
+// planned simulations already on disk are loaded before the run, and
+// every new simulation is written as it completes — locally or on a
+// worker — so re-running (or running a different selection that shares
+// work) skips everything already stored, and an interrupted run loses
+// only its in-flight simulations. Records are keyed by canonical
+// machine/workload specs. Results are deterministic, so a store built by
+// an older simulator version must be deleted after any behavioural
+// change — the golden tests pin when that happens.
 //
 // -cpuprofile/-memprofile write pprof profiles of the run, the
 // performance workflow described in README.md ("Performance").
@@ -107,7 +106,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"icfp/cmd/internal/cliutil"
 	"icfp/internal/dist"
 	"icfp/internal/exp"
 	"icfp/internal/exp/registry"
@@ -115,6 +113,7 @@ import (
 	"icfp/internal/serve"
 	"icfp/internal/sim"
 	"icfp/internal/spec"
+	"icfp/internal/store"
 )
 
 var (
@@ -128,7 +127,7 @@ var (
 	flagWorkers     = flag.Int("workers", 0, "shard simulations across N subprocess workers (0 = this process only; results are identical at any setting)")
 	flagWorkerStdio = flag.Bool("worker-stdio", false, "serve as a stdio protocol worker (internal: spawned by -workers)")
 	flagJSON        = flag.String("json", "", "also write every result set to this file as JSON")
-	flagCacheFile   = flag.String("cache-file", "", "load/save the memoization cache from/to this JSON file")
+	flagStore       = flag.String("store", "", "load and persist results in this result-store directory (the expq -store layout)")
 	flagServer      = flag.String("server", "", "submit the selected experiments to a running expq daemon at this base URL instead of simulating locally")
 	flagServerToken = flag.String("server-token", "", "bearer token for -server (the daemon's -token)")
 	flagServerCA    = flag.String("server-tls-ca", "", "CA certificate file to verify an https -server against")
@@ -287,7 +286,7 @@ func main() {
 		// silently ignored, so reject them instead.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "workers", "cache-file", "json", "run-summary", "cpuprofile", "memprofile", "parallel":
+			case "workers", "store", "json", "run-summary", "cpuprofile", "memprofile", "parallel":
 				usageError("-" + f.Name + " conflicts with -server: execution happens on the daemon")
 			}
 		})
@@ -298,24 +297,36 @@ func main() {
 		return
 	}
 
-	// The persistent cache checkpoints completed work on every exit
-	// path: SIGINT/SIGTERM (handled inside PersistentCache), mid-run
-	// failures (fail below), and the happy path — where a save failure
-	// is itself fatal, since a silently missing snapshot would make the
-	// next invocation re-simulate everything. Distributed results merge
-	// into the cache as they stream in, so even a mid-batch interrupt
-	// saves every result already received.
-	cache, saveCache, err := cliutil.PersistentCache("experiments", *flagCacheFile)
-	if err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		if serr := saveCache(); serr != nil {
-			fmt.Fprintln(os.Stderr, "experiments: saving cache:", serr)
+
+	// With -store, the planned simulations already stored are answered
+	// from disk and every new one is persisted as it completes (persist
+	// is nil without a store), so an interrupt or a mid-run failure
+	// loses only in-flight work.
+	cache := exp.NewCache()
+	var persist func(exp.Key)
+	persistErr := func() error { return nil }
+	if *flagStore != "" {
+		st, err := store.Open(*flagStore, store.Options{})
+		if err != nil {
+			fail(err)
 		}
-		os.Exit(1)
+		var plan []spec.Job
+		if *flagSpec != "" {
+			plan, err = registry.PlanSuite(suite)
+		} else {
+			plan, err = registry.Plan(names, p)
+		}
+		if err == nil {
+			_, err = st.Fill(cache, plan)
+		}
+		if err != nil {
+			fail(err)
+		}
+		persist, persistErr = st.Persist(cache)
 	}
 
 	if *flagCPUProfile != "" {
@@ -334,6 +345,7 @@ func main() {
 
 	var workers []dist.Worker
 	if *flagWorkers > 0 {
+		var err error
 		if workers, err = spawnWorkers(); err != nil {
 			fail(err)
 		}
@@ -349,21 +361,29 @@ func main() {
 
 	sets := make(map[string]*exp.ResultSet)
 	exportN, exportWarm := *flagN, *flagWarm
+	distOpts := dist.Options{Log: obs.NewLogger(os.Stderr), Spans: spans, OnMerge: persist}
+	local := []exp.Option{exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans), exp.OnRun(persist)}
+	var err error
 	switch {
 	case *flagSpec != "" && *flagWorkers > 0:
 		var rs *exp.ResultSet
-		rs, err = registry.ReportSuiteDistributed(os.Stdout, suite, workers, perWorkerParallel(), cache, distOptions(spans))
+		rs, err = registry.ReportSuiteDistributed(os.Stdout, suite, workers, perWorkerParallel(), cache, distOpts)
 		sets[suite.Name] = rs
 		exportN, exportWarm = suite.N, suite.Warm
 	case *flagSpec != "":
 		var rs *exp.ResultSet
-		rs, err = registry.ReportSuite(os.Stdout, suite, exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans))
+		rs, err = registry.ReportSuite(os.Stdout, suite, local...)
 		sets[suite.Name] = rs
 		exportN, exportWarm = suite.N, suite.Warm
 	case *flagWorkers > 0:
-		sets, err = registry.ReportDistributed(os.Stdout, names, p, workers, perWorkerParallel(), cache, distOptions(spans))
+		sets, err = registry.ReportDistributed(os.Stdout, names, p, workers, perWorkerParallel(), cache, distOpts)
 	default:
-		sets, err = registry.Report(os.Stdout, names, p, exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans))
+		sets, err = registry.Report(os.Stdout, names, p, local...)
+	}
+	if err == nil {
+		// A result that did not persist would be re-simulated by the
+		// next run over the store: a failed run, not a warning.
+		err = persistErr()
 	}
 	if err != nil {
 		fail(err)
@@ -381,12 +401,6 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-	}
-
-	// The complete snapshot: failing to persist it is a failed run.
-	if err := saveCache(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: saving cache:", err)
-		os.Exit(1)
 	}
 
 	if *flagMemProfile != "" {
@@ -481,8 +495,6 @@ func loadSuite(path string) (spec.Suite, error) {
 
 // spawnWorkers self-execs -workers subprocess copies of this binary in
 // -worker-stdio mode and returns their coordinator-side transports.
-// Errors return (never exit) so the caller's failure path still saves
-// the cache snapshot.
 func spawnWorkers() ([]dist.Worker, error) {
 	bin, err := os.Executable()
 	if err != nil {
@@ -504,11 +516,4 @@ func spawnWorkers() ([]dist.Worker, error) {
 // gets the ceiling share, minimum 1).
 func perWorkerParallel() int {
 	return (*flagParallel + *flagWorkers - 1) / *flagWorkers
-}
-
-// distOptions builds the dispatch options shared by both distributed
-// paths: structured dispatch events on stderr, plus the run's span log
-// (nil when -run-summary is off).
-func distOptions(spans *obs.SpanLog) dist.Options {
-	return dist.Options{Log: obs.NewLogger(os.Stderr), Spans: spans}
 }

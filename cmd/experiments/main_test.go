@@ -3,6 +3,7 @@ package main_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -13,6 +14,8 @@ import (
 	"time"
 
 	"icfp/internal/exp"
+	"icfp/internal/obs"
+	"icfp/internal/store"
 )
 
 // buildBinary compiles cmd/experiments once per test binary invocation.
@@ -64,60 +67,83 @@ var tinyArgs = []string{"-all", "-n", "2000", "-warm", "1000"}
 // stdio pipes).
 func TestWorkersGolden(t *testing.T) {
 	bin := buildBinary(t)
+	for _, workers := range []int{0, 1, 2, 3} {
+		runGolden(t, bin, "-workers", fmt.Sprint(workers))
+	}
+}
+
+// storeKeys lists the record hashes a result store directory holds.
+func storeKeys(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "??", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool, len(paths))
+	for _, p := range paths {
+		keys[strings.TrimSuffix(filepath.Base(p), ".json")] = true
+	}
+	return keys
+}
+
+// simulated returns the record hashes of the simulations a run's
+// -run-summary file says actually ran (store hits record no span).
+func simulated(t *testing.T, summary string) []string {
+	t.Helper()
+	raw, err := os.ReadFile(summary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Spans []obs.Span `json:"spans"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	hashes := make([]string, len(doc.Spans))
+	for i, sp := range doc.Spans {
+		hashes[i] = store.HashKey(exp.Key{Machine: sp.Machine, Workload: sp.Workload})
+	}
+	return hashes
+}
+
+// runGolden runs -all at the golden's sample sizes with extra flags and
+// fails unless the output matches the committed golden.
+func runGolden(t *testing.T, bin string, extra ...string) {
+	t.Helper()
 	want, err := os.ReadFile("testdata/golden_all_tiny.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 1, 2, 3} {
-		args := append(append([]string{}, tinyArgs...), "-workers", fmt.Sprint(workers))
-		cmd := exec.Command(bin, args...)
-		var out, stderr bytes.Buffer
-		cmd.Stdout = &out
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("-workers %d: %v\nstderr: %s", workers, err, stderr.String())
-		}
-		if !bytes.Equal(out.Bytes(), want) {
-			t.Errorf("-workers %d output differs from the committed golden (simulator behaviour changed? regenerate testdata/golden_all_tiny.txt)", workers)
-		}
+	args := append(append([]string{}, tinyArgs...), extra...)
+	cmd := exec.Command(bin, args...)
+	var out, stderr bytes.Buffer
+	cmd.Stdout = &out
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("%v: output differs from the committed golden (simulator behaviour changed? regenerate testdata/golden_all_tiny.txt)", args)
 	}
 }
 
-// TestDistributedCacheFile pins the -workers / -cache-file interplay: a
-// distributed run persists its merged results, and a rerun loads them
-// and simulates nothing remotely (it needs no live workers' worth of
-// time — just verify output stability and that the file round-trips).
-func TestDistributedCacheFile(t *testing.T) {
+// TestDistributedStore pins the -workers / -store interplay: a
+// distributed run persists every merged result and renders the golden,
+// and a rerun over the same store renders it again while simulating
+// nothing.
+func TestDistributedStore(t *testing.T) {
 	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	run := func(extra ...string) []byte {
-		t.Helper()
-		args := append([]string{"-fig8", "-n", "2000", "-warm", "1000", "-cache-file", cachePath}, extra...)
-		cmd := exec.Command(bin, args...)
-		var out, stderr bytes.Buffer
-		cmd.Stdout = &out
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%v: %v\nstderr: %s", args, err, stderr.String())
-		}
-		return out.Bytes()
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	runGolden(t, bin, "-workers", "2", "-store", storeDir)
+	if len(storeKeys(t, storeDir)) == 0 {
+		t.Fatal("distributed run persisted no records")
 	}
-	first := run("-workers", "2")
-	f, err := os.Open(cachePath)
-	if err != nil {
-		t.Fatalf("distributed run saved no cache file: %v", err)
-	}
-	entries, err := exp.ReadSnapshot(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatal("distributed run saved an empty cache snapshot")
-	}
-	second := run()
-	if !bytes.Equal(first, second) {
-		t.Error("warm-cache rerun differs from the distributed run that built the cache")
+	summary := filepath.Join(dir, "rerun.json")
+	runGolden(t, bin, "-workers", "2", "-store", storeDir, "-run-summary", summary)
+	if n := len(simulated(t, summary)); n != 0 {
+		t.Errorf("rerun over a complete store simulated %d jobs, want 0", n)
 	}
 }
 
@@ -173,58 +199,65 @@ func TestSampledRunReportsCI(t *testing.T) {
 	}
 }
 
-// TestInterruptSavesPartialCache pins the satellite guarantee: a run
-// interrupted by SIGINT exits promptly and leaves a loadable cache
-// snapshot behind, so completed simulations survive. The run is pinned
-// to -parallel 1, so its wall time is single-core-bound (~15 s of
-// simulation) and the signal reliably lands mid-run on any hardware; if
-// some future machine still finishes first, the test skips rather than
-// reporting a false failure.
-func TestInterruptSavesPartialCache(t *testing.T) {
+// TestInterruptedStoreRunResumes pins the persistence guarantee: a run
+// interrupted by SIGINT dies by the signal (130 in a shell) and keeps
+// every simulation it completed, because each is stored as it finishes;
+// the rerun over the same store simulates none of them again and renders
+// the golden. If the run finishes before the signal lands, the test
+// skips rather than reporting a false failure.
+func TestInterruptedStoreRunResumes(t *testing.T) {
 	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	cmd := exec.Command(bin, "-all", "-n", "200000", "-warm", "50000", "-parallel", "1", "-cache-file", cachePath)
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	args := append(append([]string{}, tinyArgs...), "-parallel", "1", "-store", storeDir)
+	cmd := exec.Command(bin, args...)
 	cmd.Stdout = &bytes.Buffer{}
 	cmd.Stderr = &bytes.Buffer{}
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(2 * time.Second)
-	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+	// Interrupt as soon as the first record lands: mid-run, with
+	// completed work on disk.
+	for deadline := time.Now().Add(30 * time.Second); len(storeKeys(t, storeDir)) == 0; {
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			cmd.Wait()
+			t.Fatal("no record persisted within 30s")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil && !errors.Is(err, os.ErrProcessDone) {
 		t.Fatal(err)
 	}
 	err := cmd.Wait()
 	if err == nil {
 		t.Skip("run finished before the signal landed; nothing to observe")
 	}
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 130 {
-		t.Fatalf("interrupted run: err = %v, want exit code 130", err)
+	ws, ok := cmd.ProcessState.Sys().(syscall.WaitStatus)
+	if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGINT {
+		t.Fatalf("interrupted run: %v, want death by SIGINT", err)
 	}
-	f, err := os.Open(cachePath)
-	if err != nil {
-		t.Fatalf("interrupted run saved no cache snapshot: %v", err)
+
+	before := storeKeys(t, storeDir)
+	summary := filepath.Join(dir, "rerun.json")
+	runGolden(t, bin, "-store", storeDir, "-run-summary", summary)
+	for _, h := range simulated(t, summary) {
+		if before[h] {
+			t.Errorf("record %s was stored before the interrupt but simulated again", h)
+		}
 	}
-	defer f.Close()
-	entries, err := exp.ReadSnapshot(f)
-	if err != nil {
-		t.Fatalf("interrupted run's snapshot does not parse: %v", err)
-	}
-	// On a slow or loaded machine zero simulations may have completed
-	// within the window; an empty-but-valid snapshot is then the correct
-	// partial state, just a weaker observation.
-	t.Logf("snapshot preserved %d completed simulations", len(entries))
+	t.Logf("interrupted run kept %d completed simulations", len(before))
 }
 
 // TestDescribeSpecRoundTripGolden is the acceptance pin for the spec
 // redesign: for every experiment in the registry,
 // `-describe <name> | -spec /dev/stdin` produces byte-identical output
-// to running the experiment directly. The pairs share one -cache-file,
-// so each simulation happens once across the whole test.
+// to running the experiment directly. The pairs share one -store, so
+// each simulation happens once across the whole test.
 func TestDescribeSpecRoundTripGolden(t *testing.T) {
 	bin := buildBinary(t)
 	dir := t.TempDir()
-	cachePath := filepath.Join(dir, "cache.json")
+	storeDir := filepath.Join(dir, "store")
 
 	list, err := exec.Command(bin, "-list").Output()
 	if err != nil {
@@ -240,7 +273,7 @@ func TestDescribeSpecRoundTripGolden(t *testing.T) {
 
 	for _, name := range names {
 		direct := new(bytes.Buffer)
-		cmd := exec.Command(bin, "-"+name, "-n", "2000", "-warm", "1000", "-cache-file", cachePath)
+		cmd := exec.Command(bin, "-"+name, "-n", "2000", "-warm", "1000", "-store", storeDir)
 		cmd.Stdout = direct
 		cmd.Stderr = &bytes.Buffer{}
 		if err := cmd.Run(); err != nil {
@@ -256,7 +289,7 @@ func TestDescribeSpecRoundTripGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		viaSpec := new(bytes.Buffer)
-		cmd = exec.Command(bin, "-spec", suitePath, "-cache-file", cachePath)
+		cmd = exec.Command(bin, "-spec", suitePath, "-store", storeDir)
 		cmd.Stdout = viaSpec
 		cmd.Stderr = &bytes.Buffer{}
 		if err := cmd.Run(); err != nil {
@@ -331,61 +364,33 @@ func TestSpecRejectsTypos(t *testing.T) {
 	}
 }
 
-// TestLegacyCacheFileRegenerates pins the snapshot-versioning satellite:
-// a pre-spec (fingerprint-keyed) cache file is not a fatal decode error
-// — the run warns, proceeds, and replaces it with a current-schema
-// snapshot.
-func TestLegacyCacheFileRegenerates(t *testing.T) {
+// TestCorruptStoreRecordFails pins the store's failure mode at the CLI:
+// a record that no longer decodes fails the run with its path in the
+// error, instead of being silently re-simulated or served.
+func TestCorruptStoreRecordFails(t *testing.T) {
 	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	legacy := []byte(`{"entries":[{"machine":"iCFP","config":"00ff00ff00ff00ff","workload":"spec:mcf:n=3000","result":{"name":"mcf","cycles":1}}]}` + "\n")
-	if err := os.WriteFile(cachePath, legacy, 0o644); err != nil {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	args := []string{"-fig8", "-n", "2000", "-warm", "1000", "-store", storeDir}
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
+	}
+	paths, err := filepath.Glob(filepath.Join(storeDir, "??", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no records to corrupt (err %v)", err)
+	}
+	if err := os.WriteFile(paths[0], []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-fig8", "-n", "2000", "-warm", "1000", "-cache-file", cachePath)
-	cmd.Stdout = &bytes.Buffer{}
+	cmd := exec.Command(bin, args...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("run with a legacy cache file must succeed, got %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "regenerated") {
-		t.Errorf("no re-keying warning on stderr:\n%s", stderr.String())
-	}
-	f, err := os.Open(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	entries, err := exp.ReadSnapshot(f)
-	if err != nil {
-		t.Fatalf("cache file was not regenerated under the current schema: %v", err)
-	}
-	if len(entries) == 0 {
-		t.Error("regenerated cache file is empty")
-	}
-}
-
-// TestFutureCacheFileIsFatal pins the other side of snapshot
-// versioning: a cache file from a NEWER schema must abort the run, not
-// be silently overwritten with a downgraded snapshot.
-func TestFutureCacheFileIsFatal(t *testing.T) {
-	bin := buildBinary(t)
-	cachePath := filepath.Join(t.TempDir(), "cache.json")
-	future := []byte(`{"version":99,"entries":[]}` + "\n")
-	if err := os.WriteFile(cachePath, future, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(bin, "-table1", "-cache-file", cachePath)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
+	err = cmd.Run()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
-		t.Fatalf("future-schema cache file: err = %v, want exit 1\nstderr: %s", err, stderr.String())
+		t.Fatalf("corrupt record: err = %v, want exit 1\nstderr: %s", err, stderr.String())
 	}
-	if got, err := os.ReadFile(cachePath); err != nil || !bytes.Equal(got, future) {
-		t.Errorf("future-schema cache file was modified (err %v):\n%s", err, got)
+	if !strings.Contains(stderr.String(), paths[0]) {
+		t.Errorf("error does not name the corrupt record %s:\n%s", paths[0], stderr.String())
 	}
 }
 

@@ -1,19 +1,12 @@
-// Package cliutil holds the cache-persistence, signal, and
-// transport-security plumbing shared by the experiment CLIs
-// (cmd/experiments, cmd/expd), so the interrupt-snapshot semantics and
-// the TLS/token flag vocabulary each live in exactly one place.
+// Package cliutil holds the transport-security flag plumbing shared by
+// the fleet CLIs (cmd/expd, cmd/expq), so the TLS/token flag vocabulary
+// lives in exactly one place.
 package cliutil
 
 import (
-	"errors"
 	"flag"
-	"fmt"
-	"os"
-	"os/signal"
-	"syscall"
 
 	"icfp/internal/dist"
-	"icfp/internal/exp"
 )
 
 // SecurityFlags registers the transport-security flags every TCP
@@ -30,55 +23,4 @@ func SecurityFlags(fs *flag.FlagSet) *dist.Security {
 	fs.StringVar(&sec.ServerName, "tls-server-name", "", "hostname to verify against the peer certificate (default: the dialed host)")
 	fs.StringVar(&sec.Token, "token", "", "shared fleet secret; dialers prove it before any protocol frame is processed")
 	return sec
-}
-
-// PersistentCache builds the run's memoization cache, preloading the
-// optional snapshot at path, and installs a SIGINT/SIGTERM handler that
-// checkpoints completed results before exiting (with the conventional
-// 130/143 codes) — so interrupted long runs keep their finished
-// simulations. The returned save function writes the snapshot (a no-op
-// without a path); callers must treat its error as fatal on the happy
-// path, where a silently missing snapshot would make the next
-// invocation re-simulate everything, and may merely log it on paths
-// that already exit non-zero.
-//
-// A snapshot written under an older schema (the pre-spec,
-// fingerprint-keyed format) is not an error: its entries cannot be
-// re-keyed, so the run warns, starts from an empty cache, and replaces
-// the file with a current-schema snapshot on save. A snapshot from a
-// NEWER schema is fatal — regenerating would overwrite another build's
-// accumulated results with a downgraded file.
-func PersistentCache(prog, path string) (*exp.Cache, func() error, error) {
-	cache := exp.NewCache()
-	if path != "" {
-		if err := exp.LoadCacheFile(cache, path); err != nil {
-			var verr *exp.SnapshotVersionError
-			if !errors.As(err, &verr) || verr.Got > exp.SnapshotVersion {
-				return nil, nil, err
-			}
-			fmt.Fprintf(os.Stderr, "%s: cache file %s: %v — entries are re-keyed under the canonical spec schema, so the snapshot is ignored and will be regenerated\n",
-				prog, path, verr)
-		}
-	}
-	save := func() error {
-		if path == "" {
-			return nil
-		}
-		return exp.SaveCacheFile(cache, path)
-	}
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		s := <-sigc
-		fmt.Fprintf(os.Stderr, "%s: %v: saving partial cache and exiting\n", prog, s)
-		if err := save(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: saving cache: %v\n", prog, err)
-		}
-		if s == syscall.SIGTERM {
-			os.Exit(143)
-		}
-		os.Exit(130)
-	}()
-	return cache, save, nil
 }

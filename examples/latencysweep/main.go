@@ -4,36 +4,69 @@
 // latency grows, advancing under data-cache misses becomes profitable;
 // iCFP advances under every miss at every latency without regret.
 //
-// The sweeps share one harness cache, so the in-order baseline at each
-// latency simulates once and is reused by every machine swept against it.
+// The jobs are the equake half of the registry's fig6 suite, run on one
+// harness cache, so the in-order baseline at each latency simulates once
+// and is reused by every machine swept against it.
 package main
 
 import (
 	"fmt"
+	"os"
+	"strings"
 
 	"icfp/internal/exp"
+	"icfp/internal/exp/registry"
 	"icfp/internal/sim"
 )
 
 func main() {
-	cfg := sim.DefaultConfig()
-	lats := []int{10, 20, 30, 40, 50}
-	const timed = 250_000
+	p := registry.Params{Cfg: sim.DefaultConfig(), N: 250_000}
+	suite, err := registry.Describe("fig6", p)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "latencysweep:", err)
+		os.Exit(1)
+	}
 
-	machines := sim.Figure6Machines()[1:]
+	// Equake job names are fig6/equake/<machine>/<latency>; machine
+	// labels may contain '/', so split at the last one.
+	const prefix = "fig6/equake/"
+	var jobs []exp.Job
+	var machines, lats []string
+	seen := map[string]bool{}
+	for _, j := range suite.Jobs {
+		rest, ok := strings.CutPrefix(j.Name, prefix)
+		if !ok {
+			continue
+		}
+		jobs = append(jobs, exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload})
+		i := strings.LastIndex(rest, "/")
+		label, lat := rest[:i], rest[i+1:]
+		if label != "base" && !seen[label] {
+			seen[label] = true
+			machines = append(machines, label)
+		}
+		if !seen["lat "+lat] {
+			seen["lat "+lat] = true
+			lats = append(lats, lat)
+		}
+	}
 	cache := exp.NewCache()
+	rs, err := exp.Run(jobs, exp.WithCache(cache))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "latencysweep:", err)
+		os.Exit(1)
+	}
 
 	fmt.Println("equake-profile speedup over in-order vs L2 hit latency")
 	fmt.Printf("%-18s", "config")
 	for _, l := range lats {
-		fmt.Printf(" %7dc", l)
+		fmt.Printf(" %7sc", l)
 	}
 	fmt.Println()
 	for _, m := range machines {
-		sp := sim.SweepL2LatencyCached(cache, m.Machine, cfg, "equake", timed, lats)
-		fmt.Printf("%-18s", m.Label)
-		for _, v := range sp {
-			fmt.Printf(" %+7.1f%%", v)
+		fmt.Printf("%-18s", m)
+		for _, l := range lats {
+			fmt.Printf(" %+7.1f%%", rs.Speedup(prefix+m+"/"+l, prefix+"base/"+l))
 		}
 		fmt.Println()
 	}

@@ -24,13 +24,12 @@ import (
 )
 
 func main() {
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = 0 // scenarios pre-warm their caches explicitly
-
 	var jobs []exp.Job
 	for _, sc := range workload.AllScenarios {
 		for _, m := range sim.AllModels {
-			jobs = append(jobs, sim.Job(string(sc)+"/"+m.String(), m, cfg, spec.ScenarioWorkload(sc)))
+			ms := m.Spec()
+			ms.Overrides = &spec.Overrides{Warmup: spec.Int(0)} // scenarios pre-warm their caches explicitly
+			jobs = append(jobs, exp.Job{Name: string(sc) + "/" + m.String(), Machine: ms, Workload: spec.ScenarioWorkload(sc)})
 		}
 	}
 	rs, err := exp.Run(jobs) // default parallelism: one worker per CPU

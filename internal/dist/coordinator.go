@@ -56,7 +56,7 @@ type Options struct {
 	// joined worker is handshaken and enters the work-stealing loop
 	// immediately. With Join set, a run whose last worker dies waits for
 	// the next join instead of failing — the operator decides when to
-	// give up (an interrupt still checkpoints the cache). Closing the
+	// give up (a -store run keeps every merged result). Closing the
 	// channel restores fail-when-all-workers-die semantics.
 	Join <-chan Worker
 	// Heartbeat, when positive, makes the coordinator beacon a
@@ -75,9 +75,6 @@ type Options struct {
 	// records using the shared obs key vocabulary (worker, jobs, cause,
 	// ...). Results themselves are silent.
 	Log *slog.Logger
-	// Logf is the legacy printf diagnostics sink, consulted only when
-	// Log is nil; events arrive pre-rendered by obs.Event.
-	Logf func(format string, args ...any)
 	// Metrics, when set, receives the coordinator's dispatch telemetry:
 	// queue depth, in-flight jobs, fleet size, per-worker batch and
 	// result counters, requeues, retirements, and the cost-model
@@ -90,7 +87,8 @@ type Options struct {
 	// OnMerge, when set, is called after each result lands in the cache
 	// (so a Lookup from inside the hook succeeds). Calls may arrive
 	// concurrently from different workers' dispatch loops; the hook is
-	// the service layer's per-job progress signal (internal/serve).
+	// the service layer's per-job progress signal (internal/serve) and
+	// the CLIs' persist-as-it-completes path (store.Persist).
 	OnMerge func(exp.Key)
 }
 
@@ -109,17 +107,12 @@ func readFrame(rw io.ReadWriteCloser, opts *Options) (*Message, error) {
 	return ReadMessage(rw)
 }
 
-// event emits one structured dispatch diagnostic: to Options.Log as a
-// slog record when set, otherwise rendered through obs.Event into the
-// legacy Logf sink. Keys come from the shared obs vocabulary so the
-// coordinator, the workers, and the CLIs all log the same field names.
+// event emits one structured dispatch diagnostic to Options.Log, if
+// set. Keys come from the shared obs vocabulary so the coordinator, the
+// workers, and the CLIs all log the same field names.
 func (o *Options) event(msg string, kv ...any) {
 	if o.Log != nil {
 		o.Log.Info(msg, kv...)
-		return
-	}
-	if o.Logf != nil {
-		o.Logf("%s", obs.Event(msg, kv...))
 	}
 }
 
@@ -205,7 +198,8 @@ type dispatcher struct {
 
 // Run shards the plan's self-describing jobs across the workers and
 // merges every completed result into cache. Jobs whose key the cache
-// already has (a preloaded -cache-file) are not dispatched at all.
+// already has (filled from a result store, say) are not dispatched at
+// all.
 // Dispatch is work-stealing — idle workers pull the next batch, so shard
 // sizes adapt to worker speed — and, by default, cost-aware (see
 // Options.BatchSize). The fleet is elastic: workers arriving on

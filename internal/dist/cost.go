@@ -45,8 +45,8 @@ func staticCost(sj spec.Job) float64 {
 
 // costModel estimates per-key simulation cost for dispatch-time batch
 // sizing. Every key starts from its static spec-derived estimate; each
-// observed wall time (a worker's cost report, or an elapsed time
-// preserved in a -cache-file snapshot) replaces the estimate for that
+// observed wall time (a worker's cost report, or an elapsed time a
+// result-store record preserved) replaces the estimate for that
 // key exactly and refines a global static→wall-clock calibration ratio
 // for the keys not yet measured. The model only shapes batches — it
 // never decides what runs, so a wildly wrong estimate costs efficiency,
@@ -116,7 +116,7 @@ func (c *costModel) observe(k exp.Key, ns float64) {
 // produced it, feeding that worker's private calibration EWMA. Like the
 // global ratio, each key is folded at most once per worker (result frame
 // and batch cost report both carry it). Unattributed observations —
-// cache-snapshot seeds — never reach here, so a worker's ratio reflects
+// seeds from results the cache was pre-filled with — never reach here, so a worker's ratio reflects
 // only its own hardware.
 func (c *costModel) observeWorker(worker string, k exp.Key, ns float64) {
 	if ns <= 0 || worker == "" {
@@ -189,10 +189,10 @@ func (c *costModel) estimateLocked(k exp.Key) float64 {
 	return c.static[k] * c.ratio
 }
 
-// seedFromCache folds the elapsed times a preloaded cache snapshot
-// recorded for this plan's keys into the model, so a rerun sizes its
-// batches from real measurements immediately. Snapshot entries outside
-// the plan are ignored: their static costs are unknown here, so they
+// seedFromCache folds the elapsed times the cache's pre-filled results
+// (read from a result store) recorded for this plan's keys into the
+// model, so a rerun sizes its batches from real measurements
+// immediately. Cached entries outside the plan are ignored: their static costs are unknown here, so they
 // could not calibrate the ratio anyway.
 func (c *costModel) seedFromCache(cache *exp.Cache, plan []spec.Job) {
 	for _, sj := range plan {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -164,7 +165,7 @@ func TestRunMergesAllResults(t *testing.T) {
 	}
 }
 
-// TestRunSkipsCachedKeys pins the -cache-file interplay: preloaded keys
+// TestRunSkipsCachedKeys pins the -store interplay: pre-filled keys
 // are never dispatched, and a fully warm cache needs no workers at all.
 func TestRunSkipsCachedKeys(t *testing.T) {
 	jobs := testJobs(6)
@@ -274,7 +275,7 @@ func TestCrashRecovery(t *testing.T) {
 	err = dist.Run(plan, []dist.Worker{victim, survivor}, cache, dist.Options{
 		BatchSize: len(plan), // one batch: the crash strands a big remainder
 		Parallel:  1,         // deterministic in-worker order: one result lands before the crash
-		Logf:      t.Logf,
+		Log:       testLog(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one crashed worker must still succeed, got: %v", err)
@@ -341,7 +342,7 @@ func TestStalledWorkerTimesOut(t *testing.T) {
 	err = dist.Run(plan, []dist.Worker{staller, survivor}, cache, dist.Options{
 		BatchSize:    len(plan),
 		FrameTimeout: 150 * time.Millisecond,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one stalled worker must still succeed, got: %v", err)
@@ -593,7 +594,7 @@ func TestGoodbyeMidBatchReassignsRemainder(t *testing.T) {
 		BatchSize:   len(plan),
 		MaxAttempts: 1,
 		Join:        join,
-		Logf:        t.Logf,
+		Log:         testLog(t),
 	})
 	if err != nil {
 		t.Fatalf("run with a goodbye mid-batch must succeed, got: %v", err)
@@ -653,7 +654,7 @@ func TestJoinIntoRunningDispatchReceivesWork(t *testing.T) {
 	}()
 
 	cache := exp.NewCache()
-	if err := dist.Run(plan, nil, cache, dist.Options{Join: join, Logf: t.Logf}); err != nil {
+	if err := dist.Run(plan, nil, cache, dist.Options{Join: join, Log: testLog(t)}); err != nil {
 		t.Fatalf("elastic run starting with an empty fleet: %v", err)
 	}
 	for i, sj := range plan {
@@ -794,7 +795,7 @@ func TestHeartbeatRunAndMetrics(t *testing.T) {
 		Parallel:  1,
 		Heartbeat: 20 * time.Millisecond,
 		Metrics:   creg,
-		Logf:      t.Logf,
+		Log:       testLog(t),
 	})
 	if err != nil {
 		t.Fatalf("heartbeat-enabled run failed: %v", err)
@@ -898,7 +899,7 @@ func TestMaxIdleGivesUp(t *testing.T) {
 	err = dist.Run(plan, nil, exp.NewCache(), dist.Options{
 		Join:    join,
 		MaxIdle: 80 * time.Millisecond,
-		Logf:    t.Logf,
+		Log:     testLog(t),
 	})
 	if !errors.Is(err, dist.ErrFleetIdle) {
 		t.Fatalf("idle elastic run error = %v, want ErrFleetIdle", err)
@@ -931,7 +932,7 @@ func TestMaxIdleDisarmedByJoin(t *testing.T) {
 	if err := dist.Run(plan, nil, cache, dist.Options{
 		Join:    join,
 		MaxIdle: 2 * time.Second,
-		Logf:    t.Logf,
+		Log:     testLog(t),
 	}); err != nil {
 		t.Fatalf("run with an in-window join must succeed, got: %v", err)
 	}
@@ -941,4 +942,19 @@ func TestMaxIdleDisarmedByJoin(t *testing.T) {
 			t.Fatalf("plan entry %d missing or diverged after late join", i)
 		}
 	}
+}
+
+// testLog is the dispatch logger tests pass to dist.Options.Log: the
+// fleet's standard structured logger, writing through t.Log.
+func testLog(t testing.TB) *slog.Logger {
+	return obs.NewLogger(tlogWriter{t})
+}
+
+// tlogWriter forwards each log line to t.Log.
+type tlogWriter struct{ t testing.TB }
+
+func (w tlogWriter) Write(p []byte) (int, error) {
+	w.t.Helper()
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

@@ -102,7 +102,7 @@ func TestTLSTokenTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := exp.NewCache()
-	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Logf: t.Logf}); err != nil {
+	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Log: testLog(t)}); err != nil {
 		t.Fatalf("run over TLS+token transport: %v", err)
 	}
 	for i, sj := range plan {

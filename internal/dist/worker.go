@@ -257,7 +257,7 @@ func (c *workerConn) hasLeft() bool {
 
 // serveBatch simulates one self-describing batch and streams its
 // results. Results are sent from the pool's completion hook, so the
-// coordinator can merge (and checkpoint) them while the rest of the
+// coordinator can merge (and persist) them while the rest of the
 // batch is still running.
 func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena, parallel int, so *serveOptions) error {
 	batch := make([]exp.Job, 0, len(m.Jobs))

@@ -8,8 +8,8 @@
 // — serializable data, not closures — and the cache key of a simulation
 // is the pair of their canonical encodings (spec.Canonical). That single
 // identity is used everywhere a simulation is named: the in-process memo
-// cache, persisted cache snapshots, and the distributed dispatch protocol
-// all key on the same strings, so results computed anywhere are reusable
+// cache, the persistent result store, and the distributed dispatch
+// protocol all key on the same strings, so results computed anywhere are reusable
 // everywhere.
 //
 // Simulations in this module are deterministic pure functions of their
@@ -195,8 +195,7 @@ func (c *Cache) Lookup(k Key) (pipeline.Result, bool) {
 
 // Elapsed returns the wall time the completed simulation for k took, if
 // the cache has one. Results merged via AddResults report the elapsed
-// time their snapshot recorded (zero when the snapshot predates timing
-// capture); in-flight entries read as absent, like Lookup.
+// time their record carried (zero when it predates timing capture); in-flight entries read as absent, like Lookup.
 func (c *Cache) Elapsed(k Key) (time.Duration, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[k]

@@ -15,12 +15,12 @@ import (
 // scenarioJobs is a small all-real job set: every Figure 1 scenario on
 // every machine.
 func scenarioJobs() []exp.Job {
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = 0
 	var jobs []exp.Job
 	for _, sc := range workload.AllScenarios {
 		for _, m := range sim.AllModels {
-			jobs = append(jobs, sim.Job(string(sc)+"/"+m.String(), m, cfg, spec.ScenarioWorkload(sc)))
+			ms := m.Spec()
+			ms.Overrides = &spec.Overrides{Warmup: spec.Int(0)} // scenarios pre-warm explicitly
+			jobs = append(jobs, exp.Job{Name: string(sc) + "/" + m.String(), Machine: ms, Workload: spec.ScenarioWorkload(sc)})
 		}
 	}
 	return jobs

@@ -1,28 +1,12 @@
 package registry
 
 import (
-	"fmt"
 	"io"
 
 	"icfp/internal/dist"
 	"icfp/internal/exp"
 	"icfp/internal/spec"
 )
-
-// runPlanDistributed shards a deduplicated plan of self-describing jobs
-// across the dist workers and merges the streamed results into cache.
-// Keys already in the cache are not dispatched, so a preloaded
-// -cache-file shrinks distributed runs the same way it shrinks local
-// ones.
-func runPlanDistributed(plan []spec.Job, workers []dist.Worker, workerParallel int, cache *exp.Cache, opts dist.Options) error {
-	opts.Parallel = workerParallel
-	// opts.BatchSize stays zero unless a caller pinned it: zero selects
-	// the dispatcher's cost-aware sizing, which floors each batch at the
-	// worker's pool width (so its cores stay busy) and otherwise sizes
-	// by per-key cost estimates — cheap keys batch large, expensive keys
-	// ship alone.
-	return dist.Run(plan, workers, cache, opts)
-}
 
 // ReportDistributed is the distributed counterpart of Report: it plans
 // the named experiments' deduplicated jobs, shards them across the dist
@@ -32,8 +16,10 @@ func runPlanDistributed(plan []spec.Job, workers []dist.Worker, workerParallel i
 // functions of their specs and results round-trip JSON exactly, the
 // rendered report is byte-identical to a single-process Report at any
 // worker count. Every dispatched job is self-describing, so workers need
-// no matching job table — only a compatible simulator. The dispatch
-// options pass through to dist.Run except Parallel, which this function
+// no matching job table — only a compatible simulator. Keys the cache
+// already holds (filled from a result store, say) are not dispatched, so
+// a warm store shrinks distributed runs as it shrinks local ones. The
+// dispatch options pass through to dist.Run except Parallel, which this function
 // owns.
 func ReportDistributed(w io.Writer, names []string, p Params, workers []dist.Worker, workerParallel int, cache *exp.Cache, opts dist.Options) (map[string]*exp.ResultSet, error) {
 	if cache == nil {
@@ -42,17 +28,13 @@ func ReportDistributed(w io.Writer, names []string, p Params, workers []dist.Wor
 	// dist.Run closes every worker transport on all of its paths; the
 	// error returns before it must do the same or connections (and
 	// subprocess workers) leak.
-	_, jobs, _, err := collect(names, p)
+	plan, err := Plan(names, p)
 	if err != nil {
 		dist.CloseAll(workers)
 		return nil, err
 	}
-	plan, err := exp.Plan(jobs)
-	if err != nil {
-		dist.CloseAll(workers)
-		return nil, fmt.Errorf("registry: %w", err)
-	}
-	if err := runPlanDistributed(plan, workers, workerParallel, cache, opts); err != nil {
+	opts.Parallel = workerParallel
+	if err := dist.Run(plan, workers, cache, opts); err != nil {
 		return nil, err
 	}
 	// Every key is now cached: this Run simulates nothing, it only
@@ -68,16 +50,13 @@ func ReportSuiteDistributed(w io.Writer, s spec.Suite, workers []dist.Worker, wo
 	if cache == nil {
 		cache = exp.NewCache()
 	}
-	if err := s.Validate(); err != nil {
+	plan, err := PlanSuite(s)
+	if err != nil {
 		dist.CloseAll(workers)
 		return nil, err
 	}
-	plan, err := exp.Plan(suiteJobs(s))
-	if err != nil {
-		dist.CloseAll(workers)
-		return nil, fmt.Errorf("registry: suite %q: %w", s.Name, err)
-	}
-	if err := runPlanDistributed(plan, workers, workerParallel, cache, opts); err != nil {
+	opts.Parallel = workerParallel
+	if err := dist.Run(plan, workers, cache, opts); err != nil {
 		return nil, err
 	}
 	return ReportSuite(w, s, exp.WithCache(cache), exp.Parallelism(1))

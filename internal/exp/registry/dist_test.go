@@ -10,6 +10,7 @@ import (
 	"encoding/pem"
 	"fmt"
 	"io"
+	"log/slog"
 	"math/big"
 	"net"
 	"os"
@@ -55,7 +56,7 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Logf: t.Logf})
+	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Log: testLog(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 	}
 }
 
-// TestDistributedReportWarmCache pins the cache-file interplay: a cache
+// TestDistributedReportWarmCache pins the -store interplay: a cache
 // warmed by one distributed run satisfies the next without any workers.
 func TestDistributedReportWarmCache(t *testing.T) {
 	names := []string{"fig8"}
@@ -108,7 +109,7 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	}
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Logf: t.Logf}); err != nil {
+	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Log: testLog(t)}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(local.Bytes(), distributed.Bytes()) {
@@ -253,7 +254,7 @@ func TestElasticTLSFleetMatchesGolden(t *testing.T) {
 
 	var out bytes.Buffer
 	cache := exp.NewCache()
-	opts := dist.Options{Join: join, Logf: t.Logf}
+	opts := dist.Options{Join: join, Log: testLog(t)}
 	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), nil, 1, cache, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 		BatchSize:    8,
 		FrameTimeout: 500 * time.Millisecond,
 		Metrics:      reg,
-		Logf:         t.Logf,
+		Log:          testLog(t),
 	}
 	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), workers, 1, cache, opts); err != nil {
 		t.Fatalf("chaos run must still succeed: %v", err)
@@ -402,4 +403,19 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 	if got := reg.Counter("dist_results_merged_total", "").Value(); got < 1 {
 		t.Errorf("dist_results_merged_total = %d, want >= 1", got)
 	}
+}
+
+// testLog is the dispatch logger tests pass to dist.Options.Log: the
+// fleet's standard structured logger, writing through t.Log.
+func testLog(t testing.TB) *slog.Logger {
+	return obs.NewLogger(tlogWriter{t})
+}
+
+// tlogWriter forwards each log line to t.Log.
+type tlogWriter struct{ t testing.TB }
+
+func (w tlogWriter) Write(p []byte) (int, error) {
+	w.t.Helper()
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

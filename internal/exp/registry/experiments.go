@@ -19,6 +19,61 @@ var fig5Models = []sim.Model{sim.Runahead, sim.Multipass, sim.SLTP, sim.ICFP}
 // fig6Lats are the L2 hit latencies of the Figure 6 sweep.
 var fig6Lats = []int{10, 20, 30, 40, 50}
 
+// figMachine is one labeled machine of a figure: a Figure 6 latency
+// configuration, a Figure 7 feature build, or a Figure 8 store-buffer
+// design.
+type figMachine struct {
+	Label   string
+	Machine spec.Machine
+}
+
+// fig6Machines are the configurations the Figure 6 L2 hit-latency study
+// sweeps against the in-order baseline: three Runahead trigger variants
+// and two iCFP trigger variants.
+var fig6Machines = []figMachine{
+	{"RA-L2", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerL2,
+		Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(true)}}},
+	{"RA-L2/D$-primary", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerPrimaryD1,
+		Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(true)}}},
+	{"RA-all", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerAll,
+		Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(false)}}},
+	{"iCFP-L2", spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerL2}},
+	{"iCFP-all", spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll}},
+}
+
+// fig7Builds is the Figure 7 build from SLTP to full iCFP: the SLTP
+// machine itself, then iCFP configurations adding one feature at a time.
+var fig7Builds = []figMachine{
+	{"SRL memory, single blocking rallies (SLTP)", spec.Machine{Model: spec.ModelSLTP}},
+	{"+ address-hash chaining", icfpBuild(false, false, 1)},
+	{"+ multiple non-blocking rallies", icfpBuild(true, false, 1)},
+	{"+ 8-bit poison vectors", icfpBuild(true, false, 8)},
+	{"+ multithreaded rallies (iCFP)", icfpBuild(true, true, 8)},
+}
+
+// icfpBuild is one iCFP bar of the Figure 7 feature build.
+func icfpBuild(nonBlocking, multithread bool, poisonBits int) spec.Machine {
+	return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll,
+		Overrides: &spec.Overrides{
+			NonBlockingRally: spec.Bool(nonBlocking),
+			MultithreadRally: spec.Bool(multithread),
+			PoisonBits:       spec.Int(poisonBits),
+		}}
+}
+
+// fig8Designs are the Figure 8 store-buffer designs: indexed-limited,
+// chained, and idealized fully-associative.
+var fig8Designs = []figMachine{
+	{"indexed with limited forwarding", icfpSB(spec.SBLimited)},
+	{"chained (iCFP)", icfpSB(spec.SBChained)},
+	{"fully-associative (idealized)", icfpSB(spec.SBIdeal)},
+}
+
+// icfpSB is the iCFP machine with the given store-buffer design.
+func icfpSB(sb string) spec.Machine {
+	return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll, StoreBuffer: sb}
+}
+
 // figure7Names are the benchmarks the paper shows in the feature build.
 var figure7Names = []string{"ammp", "applu", "art", "equake", "swim", "bzip2", "gap", "gzip", "mcf", "vpr"}
 
@@ -202,7 +257,6 @@ func table2Exp() Experiment {
 }
 
 func fig6Exp() Experiment {
-	machines := sim.Figure6Machines()[1:] // skip the in-order baseline row
 	e := Experiment{
 		Name: "fig6",
 		Desc: "L2 hit-latency sensitivity, equake + SPEC geomean (Figure 6)",
@@ -215,13 +269,13 @@ func fig6Exp() Experiment {
 			cl.Hier.L2HitLat = lat
 			wlEq := spec.SPECWorkload("equake", cl.WarmupInsts+p.N)
 			b.add(fmt.Sprintf("fig6/equake/base/%d", lat), sim.InOrder.Spec(), cl, wlEq)
-			for _, m := range machines {
+			for _, m := range fig6Machines {
 				b.add(fmt.Sprintf("fig6/equake/%s/%d", m.Label, lat), m.Machine, cl, wlEq)
 			}
 			for _, bench := range workload.AllSPECNames {
 				wl := spec.SPECWorkload(bench, cl.WarmupInsts+n2)
 				b.add(fmt.Sprintf("fig6/spec/%s/base/%d", bench, lat), sim.InOrder.Spec(), cl, wl)
-				for _, m := range machines {
+				for _, m := range fig6Machines {
 					b.add(fmt.Sprintf("fig6/spec/%s/%s/%d", bench, m.Label, lat), m.Machine, cl, wl)
 				}
 			}
@@ -239,7 +293,7 @@ func fig6Exp() Experiment {
 		}
 		fmt.Fprintln(w, "-- equake --")
 		header()
-		for _, m := range machines {
+		for _, m := range fig6Machines {
 			fmt.Fprintf(w, "%-18s", m.Label)
 			for _, lat := range fig6Lats {
 				fmt.Fprintf(w, " %s", spCell(rs, "%+6.1f%%",
@@ -250,7 +304,7 @@ func fig6Exp() Experiment {
 		}
 		fmt.Fprintln(w, "-- SPEC geomean --")
 		header()
-		for _, m := range machines {
+		for _, m := range fig6Machines {
 			fmt.Fprintf(w, "%-18s", m.Label)
 			for _, lat := range fig6Lats {
 				pairs := make([][2]string, 0, len(workload.AllSPECNames))
@@ -269,7 +323,6 @@ func fig6Exp() Experiment {
 }
 
 func fig7Exp() Experiment {
-	builds := sim.FeatureBuildConfigs()
 	e := Experiment{
 		Name: "fig7",
 		Desc: "iCFP feature build from SLTP (Figure 7)",
@@ -279,7 +332,7 @@ func fig7Exp() Experiment {
 		for _, name := range figure7Names {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
 			b.add("fig7/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
-			for i, build := range builds {
+			for i, build := range fig7Builds {
 				b.add(fmt.Sprintf("fig7/%s/bar%d", name, i+1), build.Machine, p.Cfg, wl)
 			}
 		}
@@ -288,16 +341,16 @@ func fig7Exp() Experiment {
 	e.Print = func(w io.Writer, p Params, rs *exp.ResultSet) {
 		fmt.Fprintln(w, "== Figure 7: iCFP feature build, % speedup over in-order ==")
 		fmt.Fprintf(w, "%-9s", "bench")
-		for i := range builds {
+		for i := range fig7Builds {
 			fmt.Fprintf(w, "  bar%d   ", i+1)
 		}
 		fmt.Fprintln(w)
-		for i, b := range builds {
+		for i, b := range fig7Builds {
 			fmt.Fprintf(w, "bar%d = %s\n", i+1, b.Label)
 		}
 		for _, name := range figure7Names {
 			fmt.Fprintf(w, "%-9s", name)
-			for i := range builds {
+			for i := range fig7Builds {
 				fmt.Fprintf(w, " %s", spCell(rs, "%+7.1f%%", fmt.Sprintf("fig7/%s/bar%d", name, i+1), "fig7/"+name+"/base"))
 			}
 			fmt.Fprintln(w)
@@ -308,7 +361,6 @@ func fig7Exp() Experiment {
 }
 
 func fig8Exp() Experiment {
-	sbs := sim.StoreBufferConfigs()
 	e := Experiment{
 		Name: "fig8",
 		Desc: "store-buffer design comparison (Figure 8)",
@@ -318,7 +370,7 @@ func fig8Exp() Experiment {
 		for _, name := range figure8Names {
 			wl := spec.SPECWorkload(name, p.Cfg.WarmupInsts+p.N)
 			b.add("fig8/"+name+"/base", sim.InOrder.Spec(), p.Cfg, wl)
-			for _, sb := range sbs {
+			for _, sb := range fig8Designs {
 				b.add(fmt.Sprintf("fig8/%s/%s", name, sb.Label), sb.Machine, p.Cfg, wl)
 			}
 		}
@@ -329,7 +381,7 @@ func fig8Exp() Experiment {
 		fmt.Fprintf(w, "%-9s %12s %12s %12s\n", "bench", "limited", "chained", "ideal")
 		for _, name := range figure8Names {
 			fmt.Fprintf(w, "%-9s", name)
-			for _, sb := range sbs {
+			for _, sb := range fig8Designs {
 				fmt.Fprintf(w, " %s", spCell(rs, "%+11.1f%%", fmt.Sprintf("fig8/%s/%s", name, sb.Label), "fig8/"+name+"/base"))
 			}
 			fmt.Fprintln(w)

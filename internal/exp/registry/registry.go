@@ -228,6 +228,34 @@ func collect(names []string, p Params) (selected []Experiment, jobs []exp.Job, c
 	return selected, jobs, counts, nil
 }
 
+// Plan returns the deduplicated simulations the named experiments need
+// (exp.Plan over their combined jobs): the keys a result store is asked
+// for before a run and the unit a fleet dispatches.
+func Plan(names []string, p Params) ([]spec.Job, error) {
+	_, jobs, _, err := collect(names, p)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := exp.Plan(jobs)
+	if err != nil {
+		return nil, fmt.Errorf("registry: %w", err)
+	}
+	return plan, nil
+}
+
+// PlanSuite is Plan for one suite: it validates the suite and returns
+// its deduplicated simulations.
+func PlanSuite(s spec.Suite) ([]spec.Job, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	plan, err := exp.Plan(suiteJobs(s))
+	if err != nil {
+		return nil, fmt.Errorf("registry: suite %q: %w", s.Name, err)
+	}
+	return plan, nil
+}
+
 // Run executes the named experiments and returns their result sets
 // keyed by experiment name. All selected experiments' jobs go through
 // one worker-pool run — job names are experiment-prefixed, so they never

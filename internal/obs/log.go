@@ -1,10 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"log/slog"
-	"strings"
 )
 
 // The shared structured-log key vocabulary. Every dispatch diagnostic in
@@ -37,25 +35,4 @@ const (
 // reports).
 func NewLogger(w io.Writer) *slog.Logger {
 	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelInfo}))
-}
-
-// Event formats a structured event as "msg key=value ..." — the bridge
-// from the slog vocabulary to legacy printf-style log sinks (test
-// t.Logf, the deprecated dist.Options.Logf). Values render with %v;
-// strings containing spaces are quoted the way slog's text handler
-// quotes them.
-func Event(msg string, kv ...any) string {
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		b.WriteByte(' ')
-		fmt.Fprintf(&b, "%v=", kv[i])
-		v := fmt.Sprintf("%v", kv[i+1])
-		if strings.ContainsAny(v, " \t\"") {
-			fmt.Fprintf(&b, "%q", v)
-		} else {
-			b.WriteString(v)
-		}
-	}
-	return b.String()
 }

@@ -258,11 +258,3 @@ func TestSpanLogSortsAndRenders(t *testing.T) {
 		t.Errorf("span JSON round trip: %+v", doc.Spans)
 	}
 }
-
-func TestEventRendering(t *testing.T) {
-	got := Event("worker joined", KeyWorker, "hostB:9700", KeyJobs, 7, KeyCause, "two words")
-	want := `worker joined worker=hostB:9700 jobs=7 cause="two words"`
-	if got != want {
-		t.Errorf("Event = %q, want %q", got, want)
-	}
-}

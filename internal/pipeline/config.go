@@ -132,8 +132,9 @@ type Result struct {
 	SBHopsAtLeast float64 // fraction of loads with >= 5 extra hops
 
 	// Interval sampling (zero for full runs). Both fields are additive
-	// to the persisted cache-file schema: snapshots written before they
-	// existed decode them as zero, i.e. as full runs.
+	// to the store record schema (store.RecordVersion): records and
+	// imported snapshots written before they existed decode them as
+	// zero, i.e. as full runs.
 	SampleIntervals int     // measurement windows combined into this result
 	SampleCPICI95   float64 // 95% confidence half-width of CPI across windows
 }

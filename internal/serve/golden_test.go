@@ -8,12 +8,14 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/pem"
+	"log/slog"
 	"math/big"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -148,7 +150,7 @@ func TestServiceFleetMatchesGoldenAndSurvivesRestart(t *testing.T) {
 	srvA, err := serve.New(serve.Config{
 		Store:    stA,
 		Join:     join,
-		DistOpts: dist.Options{Logf: t.Logf},
+		DistOpts: dist.Options{Log: testLog(t)},
 		Token:    "fleet-secret",
 		Metrics:  regA,
 	})
@@ -233,4 +235,19 @@ func TestServiceFleetMatchesGoldenAndSurvivesRestart(t *testing.T) {
 	if got := regB.Counter("expq_store_hits_total", "").Value(); got != int64(jobs) {
 		t.Errorf("expq_store_hits_total = %d, want %d", got, jobs)
 	}
+}
+
+// testLog is the dispatch logger tests pass to dist.Options.Log: the
+// fleet's standard structured logger, writing through t.Log.
+func testLog(t testing.TB) *slog.Logger {
+	return obs.NewLogger(tlogWriter{t})
+}
+
+// tlogWriter forwards each log line to t.Log.
+type tlogWriter struct{ t testing.TB }
+
+func (w tlogWriter) Write(p []byte) (int, error) {
+	w.t.Helper()
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }

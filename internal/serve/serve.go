@@ -226,11 +226,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	jobs := make([]exp.Job, len(suite.Jobs))
-	for i, j := range suite.Jobs {
-		jobs[i] = exp.Job{Name: j.Name, Machine: j.Machine, Workload: j.Workload}
-	}
-	plan, err := exp.Plan(jobs)
+	plan, err := registry.PlanSuite(suite)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -261,18 +257,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // then renders the suite from the filled cache. All simulation results
 // land in cache; the returned bytes are the rendered report.
 func (s *Server) run(suite spec.Suite, plan []spec.Job, cache *exp.Cache, ew *eventWriter) ([]byte, error) {
+	missing, err := s.cfg.Store.Fill(cache, plan)
+	if err != nil {
+		return nil, err
+	}
+	storeHits := len(plan) - len(missing)
 	var mine []planned   // this submission simulates these
 	var shared []*flight // another submission is simulating these
-	storeHits := 0
-	for _, sj := range plan {
+	for _, sj := range missing {
 		k := exp.KeyOf(sj)
-		if rec, ok, err := s.cfg.Store.Get(k); err != nil {
-			return nil, err
-		} else if ok {
-			cache.AddResults([]exp.CachedResult{rec})
-			storeHits++
-			continue
-		}
 		s.mu.Lock()
 		if f, ok := s.inflight[k]; ok {
 			shared = append(shared, f)

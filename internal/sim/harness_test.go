@@ -2,120 +2,27 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"icfp/internal/exp"
 	"icfp/internal/spec"
 )
 
-// isInOrderKey reports whether a memoization key names the in-order
-// machine (keys are canonical machine specs).
-func isInOrderKey(k exp.Key) bool {
-	return strings.Contains(k.Machine, `"model":"in-order"`)
-}
-
-// TestSweepSharedBaselineRunsOnce pins the fix for the redundant baseline
-// re-simulation in SweepL2Latency: sweeping several machines against one
-// shared cache must simulate the in-order baseline once per latency
-// configuration, not once per (machine, latency) point.
-func TestSweepSharedBaselineRunsOnce(t *testing.T) {
-	cfg := quickCfg()
-	lats := []int{10, 50}
-	machines := Figure6Machines()[1:]
-	sweep := []L2LatencyPoint{machines[0], machines[len(machines)-1]} // RA-L2, iCFP-all
-
-	cache := exp.NewCache()
-	counts := map[exp.Key]int{}
-	hook := exp.OnRun(func(k exp.Key) { counts[k]++ })
-	for _, m := range sweep {
-		sp := SweepL2LatencyCached(cache, m.Machine, cfg, "equake", 50_000, lats, hook)
-		if len(sp) != len(lats) {
-			t.Fatalf("%s: %d points, want %d", m.Label, len(sp), len(lats))
-		}
-	}
-
-	baselines := 0
-	for k, n := range counts {
-		if n != 1 {
-			t.Errorf("key %v simulated %d times, want 1", k, n)
-		}
-		if isInOrderKey(k) {
-			baselines++
-		}
-	}
-	if baselines != len(lats) {
-		t.Errorf("in-order baseline simulated under %d configurations, want %d (once per latency)", baselines, len(lats))
-	}
-	if want := len(lats) * (len(sweep) + 1); cache.Simulations() != want {
-		t.Errorf("total simulations = %d, want %d (machines + one shared baseline per latency)", cache.Simulations(), want)
-	}
-}
-
-// TestSpeedupsSharedBaselineRunsOnce does the same for Speedups: two
-// comparisons against the same baseline on a shared cache reuse the
-// baseline runs.
-func TestSpeedupsSharedBaselineRunsOnce(t *testing.T) {
-	cfg := quickCfg()
-	names := []string{"swim", "mesa"}
-	cache := exp.NewCache()
-	counts := map[exp.Key]int{}
-	hook := exp.OnRun(func(k exp.Key) { counts[k]++ })
-
-	perRA, _ := SpeedupsCached(cache, InOrder, Runahead, cfg, names, 50_000, hook)
-	perIC, _ := SpeedupsCached(cache, InOrder, ICFP, cfg, names, 50_000, hook)
-	if len(perRA) != len(names) || len(perIC) != len(names) {
-		t.Fatalf("per-benchmark maps: %v / %v", perRA, perIC)
-	}
-
-	for k, n := range counts {
-		if n != 1 {
-			t.Errorf("key %v simulated %d times, want 1", k, n)
-		}
-	}
-	// 2 baselines + 2 Runahead + 2 iCFP; the second call reuses both
-	// baseline runs.
-	if want := 3 * len(names); cache.Simulations() != want {
-		t.Errorf("total simulations = %d, want %d", cache.Simulations(), want)
-	}
-}
-
-// TestSpeedupsToleratesDuplicateNames pins that repeated benchmark names
-// collapse to one job pair instead of tripping the harness's
-// duplicate-name check (the pre-harness Speedups accepted them too).
-func TestSpeedupsToleratesDuplicateNames(t *testing.T) {
-	cfg := quickCfg()
-	per, geo := Speedups(InOrder, ICFP, cfg, []string{"swim", "swim"}, 50_000)
-	if len(per) != 1 {
-		t.Fatalf("per = %v, want one entry", per)
-	}
-	if geo <= 0 {
-		t.Fatalf("geomean = %.1f%%", geo)
-	}
-}
-
-// TestSweepMatchesCachedSweep pins that the memoized path computes the
-// same numbers as independent runs of the same machines.
-func TestSweepMatchesCachedSweep(t *testing.T) {
-	cfg := quickCfg()
-	lats := []int{10, 30}
-	m := Figure6Machines()[1]
-	plain := SweepL2Latency(m.Machine, cfg, "equake", 50_000, lats)
-	cached := SweepL2LatencyCached(exp.NewCache(), m.Machine, cfg, "equake", 50_000, lats)
-	for k := range lats {
-		if plain[k] != cached[k] {
-			t.Errorf("lat %d: plain %.3f%% vs cached %.3f%%", lats[k], plain[k], cached[k])
-		}
-	}
-}
-
-// TestJobBuildsModelRunner pins the sim.Job bridge into the harness.
+// TestJobBuildsModelRunner pins the bridge from Model into the harness:
+// a job naming m.Spec() with cfg's divergence as overrides simulates
+// exactly what the direct New path does.
 func TestJobBuildsModelRunner(t *testing.T) {
 	cfg := quickCfg()
+	ov, err := spec.OverridesFor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wl := spec.SPECWorkload("swim", cfg.WarmupInsts+50_000)
 	var jobs []exp.Job
 	for _, m := range AllModels {
-		jobs = append(jobs, Job(fmt.Sprintf("job/%s", m), m, cfg, wl))
+		ms := m.Spec()
+		ms.Overrides = ov
+		jobs = append(jobs, exp.Job{Name: fmt.Sprintf("job/%s", m), Machine: ms, Workload: wl})
 	}
 	rs, err := exp.Run(jobs, exp.Parallelism(4))
 	if err != nil {

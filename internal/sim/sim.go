@@ -1,19 +1,17 @@
-// Package sim is the top-level driver: it names the five simulated
-// micro-architectures, runs workloads against them, and provides the
-// sweep helpers behind the paper's figures.
+// Package sim names the five simulated micro-architectures and runs
+// workloads against them directly.
 //
-// Machines are identified declaratively: every named configuration in
-// this package is a thin producer of spec.Machine values, and
+// Each Model maps to its declarative spec.Machine (Model.Spec), and
 // spec.Machine.New is the one constructor path behind the experiment
-// harness. The direct New/Run helpers remain for programmatic use (unit
-// tests, fuzzing, benchmarks) where a concrete pipeline.Config in hand
-// is more convenient than a spec.
+// harness; the paper's figures are registry suites
+// (internal/exp/registry). The direct New/Run helpers remain for
+// programmatic use (unit tests, fuzzing, benchmarks) where a concrete
+// pipeline.Config in hand is more convenient than a spec.
 package sim
 
 import (
 	"fmt"
 
-	"icfp/internal/exp"
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
 	"icfp/internal/multipass"
@@ -101,44 +99,6 @@ func New(m Model, cfg pipeline.Config) Runner {
 	panic(fmt.Sprintf("sim: unknown model %d", int(m)))
 }
 
-// NewFromSpec constructs the machine a spec names, with cfg's divergence
-// from the spec base carried as overrides. It panics when cfg touches a
-// field overrides cannot express or the spec is invalid — callers hold
-// both, so an error is a call-site bug.
-func NewFromSpec(m spec.Machine, cfg pipeline.Config) Runner {
-	r, err := specMachineAt(m, cfg).New()
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	return r
-}
-
-// specMachineAt merges cfg's divergence from the base into the machine
-// spec (the machine's own overrides win). It panics on an inexpressible
-// configuration.
-func specMachineAt(m spec.Machine, cfg pipeline.Config) spec.Machine {
-	ov, err := spec.OverridesFor(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("sim: %v", err))
-	}
-	m.Overrides = spec.Merge(m.Overrides, ov)
-	return m
-}
-
-// Job expresses "run model m, configured by cfg, over the workload" as a
-// harness job, the building block of the experiment registry. The
-// configuration's divergence from the base rides in the machine spec's
-// overrides; Job panics when cfg is not spec-expressible.
-func Job(name string, m Model, cfg pipeline.Config, wl spec.Workload) exp.Job {
-	return JobFor(name, m.Spec(), cfg, wl)
-}
-
-// JobFor is Job for an explicit machine spec (a Figure 6 latency point,
-// a feature build, a store-buffer design).
-func JobFor(name string, m spec.Machine, cfg pipeline.Config, wl spec.Workload) exp.Job {
-	return exp.Job{Name: name, Machine: specMachineAt(m, cfg), Workload: wl}
-}
-
 // Run simulates workload w on model m.
 func Run(m Model, cfg pipeline.Config, w *workload.Workload) pipeline.Result {
 	return New(m, cfg).Run(w)
@@ -151,145 +111,5 @@ func RunSPEC(m Model, cfg pipeline.Config, name string, n int) pipeline.Result {
 	return Run(m, cfg, w)
 }
 
-// Speedups runs base and test models over the named benchmarks and
-// returns the percent speedup of test over base per benchmark, plus the
-// geometric-mean speedup. Runs go through the memoizing harness, so the
-// base model simulates once per (configuration, benchmark) even when it
-// appears on both sides.
-func Speedups(base, test Model, cfg pipeline.Config, names []string, n int) (per map[string]float64, geo float64) {
-	return SpeedupsCached(exp.NewCache(), base, test, cfg, names, n)
-}
-
-// SpeedupsCached is Speedups against a shared cache: runs already
-// performed by any earlier experiment sharing the cache are reused
-// instead of re-simulated.
-func SpeedupsCached(c *exp.Cache, base, test Model, cfg pipeline.Config, names []string, n int, opts ...exp.Option) (per map[string]float64, geo float64) {
-	jobs := make([]exp.Job, 0, 2*len(names))
-	seen := make(map[string]bool, len(names))
-	for _, name := range names {
-		if seen[name] {
-			continue // one job pair per benchmark; repeats reuse it
-		}
-		seen[name] = true
-		wl := spec.SPECWorkload(name, cfg.WarmupInsts+n)
-		jobs = append(jobs,
-			Job("base/"+name, base, cfg, wl),
-			Job("test/"+name, test, cfg, wl))
-	}
-	rs, err := exp.Run(jobs, append([]exp.Option{exp.WithCache(c)}, opts...)...)
-	if err != nil {
-		panic(err) // the job set is built right here; an error is a sim bug
-	}
-	per = make(map[string]float64, len(names))
-	pairs := make([][2]string, 0, len(names))
-	for _, name := range names {
-		per[name] = rs.Speedup("test/"+name, "base/"+name)
-		pairs = append(pairs, [2]string{"test/" + name, "base/" + name})
-	}
-	return per, rs.GeoMeanSpeedup(pairs)
-}
-
-// L2LatencyPoint is one machine of the Figure 6 sweep: a display label
-// and the declarative machine spec behind it.
-type L2LatencyPoint struct {
-	Label   string
-	Machine spec.Machine
-}
-
 // Runner runs a workload (satisfied by every machine in this module).
 type Runner = spec.Runner
-
-// Figure6Machines returns the six configurations of the paper's L2
-// hit-latency sensitivity study: the baseline, three Runahead trigger
-// variants, and two iCFP trigger variants — as machine specs.
-func Figure6Machines() []L2LatencyPoint {
-	return []L2LatencyPoint{
-		{"in-order", spec.Machine{Model: spec.ModelInOrder}},
-		{"RA-L2", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerL2,
-			Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(true)}}},
-		{"RA-L2/D$-primary", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerPrimaryD1,
-			Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(true)}}},
-		{"RA-all", spec.Machine{Model: spec.ModelRunahead, Trigger: spec.TriggerAll,
-			Overrides: &spec.Overrides{BlockSecondaryD1: spec.Bool(false)}}},
-		{"iCFP-L2", spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerL2}},
-		{"iCFP-all", spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll}},
-	}
-}
-
-// SweepL2Latency runs one machine spec over the given L2 hit latencies
-// for a benchmark and returns percent speedups over the in-order
-// baseline at the same latency.
-func SweepL2Latency(m spec.Machine, cfg pipeline.Config, name string, n int, lats []int) []float64 {
-	return SweepL2LatencyCached(exp.NewCache(), m, cfg, name, n, lats)
-}
-
-// SweepL2LatencyCached is SweepL2Latency against a shared cache: the
-// in-order baseline at each latency simulates once no matter how many
-// machines sweep against it, and machines are cached by their canonical
-// specs — no labels required.
-func SweepL2LatencyCached(c *exp.Cache, m spec.Machine, cfg pipeline.Config, name string, n int, lats []int, opts ...exp.Option) []float64 {
-	jobs := make([]exp.Job, 0, 2*len(lats))
-	for k, lat := range lats {
-		cl := cfg
-		cl.Hier.L2HitLat = lat
-		wl := spec.SPECWorkload(name, cl.WarmupInsts+n)
-		jobs = append(jobs,
-			Job(fmt.Sprintf("base/%d", k), InOrder, cl, wl),
-			JobFor(fmt.Sprintf("test/%d", k), m, cl, wl))
-	}
-	rs, err := exp.Run(jobs, append([]exp.Option{exp.WithCache(c)}, opts...)...)
-	if err != nil {
-		panic(err) // the job set is built right here; an error is a sim bug
-	}
-	out := make([]float64, len(lats))
-	for k := range lats {
-		out[k] = rs.Speedup(fmt.Sprintf("test/%d", k), fmt.Sprintf("base/%d", k))
-	}
-	return out
-}
-
-// FeatureBuild is one bar of the Figure 7 build from SLTP to full iCFP.
-type FeatureBuild struct {
-	Label   string
-	Machine spec.Machine
-}
-
-// FeatureBuildConfigs returns the Figure 7 "build" from SLTP to full
-// iCFP. The first entry is the SLTP machine itself; the rest are iCFP
-// configurations adding one feature at a time.
-func FeatureBuildConfigs() []FeatureBuild {
-	icfpBuild := func(nonBlocking, multithread bool, poisonBits int) spec.Machine {
-		return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll,
-			Overrides: &spec.Overrides{
-				NonBlockingRally: spec.Bool(nonBlocking),
-				MultithreadRally: spec.Bool(multithread),
-				PoisonBits:       spec.Int(poisonBits),
-			}}
-	}
-	return []FeatureBuild{
-		{"SRL memory, single blocking rallies (SLTP)", spec.Machine{Model: spec.ModelSLTP}},
-		{"+ address-hash chaining", icfpBuild(false, false, 1)},
-		{"+ multiple non-blocking rallies", icfpBuild(true, false, 1)},
-		{"+ 8-bit poison vectors", icfpBuild(true, false, 8)},
-		{"+ multithreaded rallies (iCFP)", icfpBuild(true, true, 8)},
-	}
-}
-
-// StoreBufferDesign is one column of the Figure 8 comparison.
-type StoreBufferDesign struct {
-	Label   string
-	Machine spec.Machine
-}
-
-// StoreBufferConfigs returns the Figure 8 store-buffer design
-// comparison: indexed-limited, chained, and idealized fully-associative.
-func StoreBufferConfigs() []StoreBufferDesign {
-	icfpSB := func(sb string) spec.Machine {
-		return spec.Machine{Model: spec.ModelICFP, Trigger: spec.TriggerAll, StoreBuffer: sb}
-	}
-	return []StoreBufferDesign{
-		{"indexed with limited forwarding", icfpSB(spec.SBLimited)},
-		{"chained (iCFP)", icfpSB(spec.SBChained)},
-		{"fully-associative (idealized)", icfpSB(spec.SBIdeal)},
-	}
-}

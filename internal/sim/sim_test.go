@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"icfp/internal/pipeline"
-	"icfp/internal/workload"
 )
 
 func quickCfg() pipeline.Config {
@@ -49,64 +48,5 @@ func TestICFPIsTheFastestOnHighMissFP(t *testing.T) {
 		if cycles[ICFP] >= cycles[m] {
 			t.Errorf("iCFP (%d) must beat %s (%d) on ammp", cycles[ICFP], m, cycles[m])
 		}
-	}
-}
-
-func TestSpeedupsHelper(t *testing.T) {
-	cfg := quickCfg()
-	per, geo := Speedups(InOrder, ICFP, cfg, []string{"swim", "mesa"}, 100_000)
-	if len(per) != 2 {
-		t.Fatalf("per = %v", per)
-	}
-	if per["swim"] < 5 {
-		t.Fatalf("swim speedup = %.1f%%", per["swim"])
-	}
-	if geo <= 0 {
-		t.Fatalf("geomean = %.1f%%", geo)
-	}
-}
-
-func TestSweepL2LatencyShape(t *testing.T) {
-	// At higher L2 hit latencies, iCFP-all's advantage grows (Figure 6).
-	cfg := quickCfg()
-	machines := Figure6Machines()
-	icfpAll := machines[len(machines)-1]
-	if icfpAll.Label != "iCFP-all" {
-		t.Fatalf("unexpected machine order: %s", icfpAll.Label)
-	}
-	sp := SweepL2Latency(icfpAll.Machine, cfg, "equake", 100_000, []int{10, 50})
-	if len(sp) != 2 {
-		t.Fatal("two points expected")
-	}
-	if sp[1] <= sp[0] {
-		t.Fatalf("iCFP-all gain must grow with L2 latency: %.1f%% -> %.1f%%", sp[0], sp[1])
-	}
-}
-
-func TestFeatureBuildMonotoneOnMcf(t *testing.T) {
-	// Figure 7: each feature must help (or at least not hurt much) on a
-	// dependent-miss workload; the full build must beat the first iCFP bar.
-	cfg := quickCfg()
-	builds := FeatureBuildConfigs()
-	var first, last int64
-	for i, b := range builds {
-		if i == 0 {
-			continue // SLTP baseline bar
-		}
-		r := NewFromSpec(b.Machine, cfg).Run(workload.SPEC("mcf", cfg.WarmupInsts+150_000))
-		if i == 1 {
-			first = r.Cycles
-		}
-		last = r.Cycles
-	}
-	if last >= first {
-		t.Fatalf("full iCFP (%d cycles) must beat the blocking-rally build (%d)", last, first)
-	}
-}
-
-func TestStoreBufferConfigsComplete(t *testing.T) {
-	sbs := StoreBufferConfigs()
-	if len(sbs) != 3 {
-		t.Fatalf("three designs expected, got %d", len(sbs))
 	}
 }

@@ -9,7 +9,7 @@
 // The canonical encoding (Canonical: compact JSON with sorted object
 // keys) is the identity of a machine or workload throughout the module:
 // it is the memoization key of internal/exp, the wire identity of
-// internal/dist batches, and the entry key of persisted cache snapshots.
+// internal/dist batches, and the record key of the result store.
 // Two specs with equal canonical encodings always construct identical
 // simulations; specs with different encodings are simply cached apart.
 //

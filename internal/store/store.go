@@ -1,12 +1,12 @@
 // Package store is the persistent, content-addressed simulation result
-// store behind the expq service (internal/serve, cmd/expq): a shared,
-// multi-client promotion of the single-file `-cache-file` snapshot. Each
-// completed simulation is one record on disk, addressed by the SHA-256
-// of its canonical (machine, workload) spec pair — the same collision-
-// free identity internal/exp memoizes on and internal/dist ships over
-// the wire — in a two-level fanout directory layout, so any number of
-// processes can read and append concurrently without ever rewriting a
-// shared file.
+// store behind every front end that keeps results across processes: the
+// expq service (internal/serve, cmd/expq) and the -store flag of
+// cmd/experiments and cmd/expd. Each completed simulation is one record
+// on disk, addressed by the SHA-256 of its canonical (machine, workload)
+// spec pair — the same collision-free identity internal/exp memoizes
+// on and internal/dist ships over the wire — in a two-level fanout
+// directory layout, so any number of processes can read and append
+// concurrently without ever rewriting a shared file.
 //
 // Writes are atomic (unique temp file, fsync, rename): a crash leaves
 // either no record or a complete one, never a torn file, and concurrent
@@ -33,12 +33,14 @@ import (
 
 	"icfp/internal/exp"
 	"icfp/internal/obs"
+	"icfp/internal/spec"
 )
 
-// RecordVersion identifies the on-disk record schema. Records embed the
-// exp.CachedResult layout (machine, workload, result, elapsed_ns), so
-// the additive-fields versioning rules of docs/ARCHITECTURE.md apply
-// here too: new optional fields do not bump the version, re-keyings do.
+// RecordVersion identifies the on-disk record schema, the one persisted
+// result format of this repository. Records embed the exp.CachedResult
+// layout (machine, workload, result, elapsed_ns) and follow the
+// additive-fields versioning rules of docs/ARCHITECTURE.md: new
+// optional fields do not bump the version, re-keyings do.
 const RecordVersion = 1
 
 // record is the on-disk layout of one result file.
@@ -268,11 +270,17 @@ func resultBytes(r exp.CachedResult) []byte {
 // store refuses to pick a side. After a new record lands, eviction
 // brings the store back under its byte bound.
 func (s *Store) Put(r exp.CachedResult) error {
+	_, err := s.put(r)
+	return err
+}
+
+// put is Put, also reporting whether it wrote a new record.
+func (s *Store) put(r exp.CachedResult) (bool, error) {
 	hash := HashKey(exp.Key{Machine: r.Machine, Workload: r.Workload})
 	path := s.pathFor(hash)
 	if existing, size, err := readRecord(path); err == nil {
 		if string(resultBytes(existing.CachedResult)) != string(resultBytes(r)) {
-			return &ConflictError{Path: path, Machine: r.Machine, Workload: r.Workload}
+			return false, &ConflictError{Path: path, Machine: r.Machine, Workload: r.Workload}
 		}
 		s.mu.Lock()
 		if _, ok := s.recs[hash]; !ok {
@@ -280,18 +288,18 @@ func (s *Store) Put(r exp.CachedResult) error {
 		}
 		s.recs[hash] = recMeta{size: size, access: time.Now()}
 		s.mu.Unlock()
-		return nil
+		return false, nil
 	} else if !os.IsNotExist(err) {
-		return err
+		return false, err
 	}
 
 	data, err := json.MarshalIndent(record{Version: RecordVersion, CachedResult: r}, "", "  ")
 	if err != nil {
-		return fmt.Errorf("store: encoding record for %s: %w", path, err)
+		return false, fmt.Errorf("store: encoding record for %s: %w", path, err)
 	}
 	data = append(data, '\n')
 	if err := writeAtomic(path, data); err != nil {
-		return err
+		return false, err
 	}
 	s.puts.Inc()
 	s.mu.Lock()
@@ -305,7 +313,62 @@ func (s *Store) Put(r exp.CachedResult) error {
 	for _, h := range evict {
 		s.remove(h)
 	}
-	return nil
+	return true, nil
+}
+
+// Fill pre-fills cache with the store's records for the plan's
+// simulations and returns the plan entries the store holds no record
+// for — the work that still has to run. A record that cannot be read
+// (corrupt, or another schema) fails the fill with its path in the
+// error.
+func (s *Store) Fill(cache *exp.Cache, plan []spec.Job) ([]spec.Job, error) {
+	var hits []exp.CachedResult
+	var missing []spec.Job
+	for _, sj := range plan {
+		rec, ok, err := s.Get(exp.KeyOf(sj))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			hits = append(hits, rec)
+		} else {
+			missing = append(missing, sj)
+		}
+	}
+	cache.AddResults(hits)
+	return missing, nil
+}
+
+// Persist returns a completion hook, for exp.OnRun on the local pool or
+// dist.Options.OnMerge on a fleet, that Puts each simulation of cache as
+// it completes, so an interrupted run loses only its in-flight work. The
+// hook is safe for concurrent calls; failed reports the first Put error.
+func (s *Store) Persist(cache *exp.Cache) (hook func(exp.Key), failed func() error) {
+	var mu sync.Mutex
+	var first error
+	hook = func(k exp.Key) {
+		res, ok := cache.Lookup(k)
+		if !ok {
+			return
+		}
+		rec := exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res}
+		if d, ok := cache.Elapsed(k); ok {
+			rec.ElapsedNS = int64(d)
+		}
+		if err := s.Put(rec); err != nil {
+			mu.Lock()
+			if first == nil {
+				first = err
+			}
+			mu.Unlock()
+		}
+	}
+	failed = func() error {
+		mu.Lock()
+		defer mu.Unlock()
+		return first
+	}
+	return hook, failed
 }
 
 // writeAtomic writes data to path via a unique fsynced temp file and a
@@ -382,28 +445,41 @@ func (s *Store) dropLocked(hash string) {
 	}
 }
 
-// ImportSnapshot is the one-shot migration path from the single-client
-// `-cache-file` world: it reads a schema-v2 snapshot (exp.ReadSnapshot)
-// and persists every entry, returning how many records were newly
-// written (entries already in the store are first-writer-wins no-ops).
-// A snapshot from a different schema — including the legacy unversioned
-// fingerprint-keyed format, whose entries cannot be re-keyed — is an
-// error, not a silent partial import.
+// ImportSnapshot is the one-way migration from the retired
+// `-cache-file` snapshots: it reads a schema-v2 snapshot (one JSON
+// document of {"version": 2, "entries": [CachedResult...]}) and persists
+// every entry, returning how many records it newly wrote (entries already
+// in the store are first-writer-wins no-ops, and records evicted by
+// MaxBytes during the import still count as written). A snapshot of any
+// other schema, including the unversioned fingerprint-keyed format whose
+// entries cannot be re-keyed, is an error, not a silent partial import.
 func (s *Store) ImportSnapshot(path string) (int, error) {
+	const snapshotVersion = 2
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, err
 	}
 	defer f.Close()
-	rs, err := exp.ReadSnapshot(f)
-	if err != nil {
-		return 0, fmt.Errorf("store: importing %s: %w", path, err)
+	var snap struct {
+		Version int                `json:"version"`
+		Entries []exp.CachedResult `json:"entries"`
 	}
-	before := s.Len()
-	for _, r := range rs {
-		if err := s.Put(r); err != nil {
-			return s.Len() - before, fmt.Errorf("store: importing %s: %w", path, err)
+	if err := json.NewDecoder(f).Decode(&snap); err != nil {
+		return 0, fmt.Errorf("store: importing %s: decoding snapshot: %w", path, err)
+	}
+	if snap.Version != snapshotVersion {
+		return 0, fmt.Errorf("store: importing %s: snapshot schema v%d (0 is the unversioned fingerprint-keyed format), only v%d can be imported",
+			path, snap.Version, snapshotVersion)
+	}
+	n := 0
+	for _, r := range snap.Entries {
+		wrote, err := s.put(r)
+		if err != nil {
+			return n, fmt.Errorf("store: importing %s: %w", path, err)
+		}
+		if wrote {
+			n++
 		}
 	}
-	return s.Len() - before, nil
+	return n, nil
 }

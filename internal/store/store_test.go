@@ -14,7 +14,9 @@ import (
 	"icfp/internal/exp"
 	"icfp/internal/obs"
 	"icfp/internal/pipeline"
+	"icfp/internal/spec"
 	"icfp/internal/store"
+	"icfp/internal/workload"
 )
 
 // rec fabricates a distinct result record. The store treats machine and
@@ -179,17 +181,37 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
-// TestImportSnapshot pins the one-shot migration from -cache-file: a v2
-// snapshot imports completely, re-import is a no-op, and a legacy
-// unversioned snapshot is a loud SnapshotVersionError, not a partial
-// import.
-func TestImportSnapshot(t *testing.T) {
-	cache := exp.NewCache()
-	cache.AddResults([]exp.CachedResult{rec("m1", "w1", 1), rec("m2", "w2", 2)})
-	snap := filepath.Join(t.TempDir(), "cache.json")
-	if err := exp.SaveCacheFile(cache, snap); err != nil {
-		t.Fatal(err)
+// snapshotJSON renders a schema-v2 `-cache-file` snapshot, the input
+// format of the one-way ImportSnapshot migration, as a literal document.
+func snapshotJSON(entries ...exp.CachedResult) string {
+	var b strings.Builder
+	b.WriteString(`{"version": 2, "entries": [`)
+	for i, e := range entries {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, `{"machine": %q, "workload": %q, "result": {"Cycles": %d, "Insts": %d}, "elapsed_ns": %d}`,
+			e.Machine, e.Workload, e.R.Cycles, e.R.Insts, e.ElapsedNS)
 	}
+	b.WriteString("]}\n")
+	return b.String()
+}
+
+// TestImportSnapshot pins the one-way migration from -cache-file: a v2
+// snapshot imports completely, re-import is a no-op, and the count
+// reports records written even when MaxBytes evicts some of them during
+// the import. The snapshot reader's schema and rejection rules are
+// pinned beside the snapshot type, in internal/exp's snapshot tests.
+func TestImportSnapshot(t *testing.T) {
+	write := func(name, body string) string {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	snap := write("cache.json", snapshotJSON(rec("m1", "w1", 1), rec("m2", "w2", 2)))
 
 	s, err := store.Open(t.TempDir(), store.Options{})
 	if err != nil {
@@ -202,6 +224,10 @@ func TestImportSnapshot(t *testing.T) {
 	if n != 2 || s.Len() != 2 {
 		t.Errorf("import wrote %d records (store has %d), want 2", n, s.Len())
 	}
+	got, ok, err := s.Get(key(rec("m2", "w2", 2)))
+	if err != nil || !ok || got.R.Cycles != 2 || got.ElapsedNS != 1000 {
+		t.Errorf("imported record = %+v ok=%v err=%v", got, ok, err)
+	}
 	n, err = s.ImportSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -210,13 +236,56 @@ func TestImportSnapshot(t *testing.T) {
 		t.Errorf("re-import wrote %d new records, want 0 (first-writer-wins)", n)
 	}
 
-	legacy := filepath.Join(t.TempDir(), "old.json")
-	if err := os.WriteFile(legacy, []byte(`{"entries":[]}`), 0o644); err != nil {
+	tiny, err := store.Open(t.TempDir(), store.Options{MaxBytes: 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var vErr *exp.SnapshotVersionError
-	if _, err := s.ImportSnapshot(legacy); !errors.As(err, &vErr) {
-		t.Errorf("legacy snapshot import returned %v, want SnapshotVersionError", err)
+	three := write("three.json", snapshotJSON(rec("a", "w", 1), rec("b", "w", 2), rec("c", "w", 3)))
+	if n, err := tiny.ImportSnapshot(three); err != nil || n != 3 {
+		t.Errorf("import under eviction = %d, %v; want 3 records written", n, err)
+	}
+}
+
+// TestFillAndPersist pins the persistence path the CLIs and the daemon
+// share: Fill answers the plan's stored keys into the cache and returns
+// the rest, and the Persist hook writes each completed simulation.
+func TestFillAndPersist(t *testing.T) {
+	s, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := []spec.Job{
+		{Machine: spec.Machine{Model: spec.ModelInOrder}, Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2)},
+		{Machine: spec.Machine{Model: spec.ModelICFP}, Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2)},
+	}
+	stored := exp.CachedResult{Machine: plan[0].Machine.Canonical(), Workload: plan[0].Workload.Canonical(),
+		R: pipeline.Result{Cycles: 7}}
+	if err := s.Put(stored); err != nil {
+		t.Fatal(err)
+	}
+
+	cache := exp.NewCache()
+	missing, err := s.Fill(cache, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(missing) != 1 || missing[0].Machine.Model != spec.ModelICFP {
+		t.Fatalf("Fill left %+v missing, want only the iCFP job", missing)
+	}
+	if r, ok := cache.Lookup(exp.KeyOf(plan[0])); !ok || r.Cycles != 7 {
+		t.Fatalf("Fill did not answer the stored key: %+v %v", r, ok)
+	}
+
+	hook, failed := s.Persist(cache)
+	jobs := []exp.Job{{Name: "ic", Machine: plan[1].Machine, Workload: plan[1].Workload}}
+	if _, err := exp.Run(jobs, exp.WithCache(cache), exp.OnRun(hook)); err != nil {
+		t.Fatal(err)
+	}
+	if err := failed(); err != nil {
+		t.Fatal(err)
+	}
+	if missing, err := s.Fill(exp.NewCache(), plan); err != nil || len(missing) != 0 {
+		t.Errorf("after the run Fill left %d missing (err %v), want 0", len(missing), err)
 	}
 }
 
