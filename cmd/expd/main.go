@@ -3,71 +3,58 @@
 // authentication on every connection (docs/OPERATIONS.md is the fleet
 // runbook; docs/ARCHITECTURE.md describes the protocol).
 //
-// It has three roles. A worker host can run a serving daemon that
-// coordinators dial:
+// It has two roles. The coordinator names the experiments and accepts
+// workers on a listener:
 //
-//	expd serve -listen :9700
+//	expd -accept-workers :9701 -all -store results/
+//	expd -accept-workers :9701 -run fig5,table2 -n 1000000 -warm 4000000
 //
-// or dial a long-lived coordinator itself and join its fleet (elastic
-// mode — workers may join or leave while a run is in flight):
+// and every worker host dials it and joins the fleet — before the run
+// or while it is in flight:
 //
 //	expd join coord-host:9701
 //
-// The coordinator names the experiments and builds its fleet from
-// either or both directions:
-//
-//	expd -connect hostA:9700,hostB:9700 -all
-//	expd -accept-workers :9701 -all -store results/
-//	expd -connect hostA:9700 -accept-workers :9701 -run fig5,table2 -n 1000000 -warm 4000000
-//
 // The coordinator plans the deduplicated simulation jobs, shards them
-// across the fleet with cost-aware work-stealing batches (per-key cost
-// estimates seeded from each spec and refined online from the wall
-// times workers report, so cheap keys batch large and expensive
-// stragglers ship alone), merges the streamed results, and renders the
-// report locally — byte-identical to `experiments` run in a single
-// process at any fleet shape, because simulations are deterministic
-// pure functions of their specs. A worker that dies mid-run has its
-// unfinished batch reassigned to the survivors; a worker that leaves
-// with `expd join`'s SIGINT/SIGTERM goodbye keeps everything it already
-// streamed and hands back only the remainder. Batches carry
-// self-describing specs (internal/spec), so workers need no copy of the
-// coordinator's job table — heterogeneous builds interoperate as long
-// as they speak the same protocol version and simulate identically; the
+// across the fleet in work-stealing batches (each a share of the ready
+// queue per active worker, at least one job per worker pool slot),
+// merges the streamed results, and renders the report locally —
+// byte-identical to `experiments` run in a single process at any fleet
+// shape, because simulations are deterministic pure functions of their
+// specs. A worker that dies mid-run has its unfinished batch reassigned
+// to the survivors; a worker that leaves with `expd join`'s
+// SIGINT/SIGTERM goodbye keeps everything it already streamed and hands
+// back only the remainder. Batches carry self-describing specs
+// (internal/spec), so workers need no copy of the coordinator's job
+// table — heterogeneous builds interoperate as long as they speak the
+// same protocol version and simulate identically; the register
 // handshake rejects mismatched protocol versions by name.
 //
-// Transport security: -tls-cert/-tls-key arm an accepting endpoint
-// (serve's listener, the coordinator's -accept-workers listener),
-// -tls-ca (plus optional -tls-server-name) makes a dialing endpoint
-// (the coordinator's -connect, join's outbound connection) verify the
-// peer, and -token arms both sides of a shared-secret preamble that is
-// checked before any protocol frame is processed. Leave all of them
-// unset only on loopback or a trusted network.
+// Transport security: -tls-cert/-tls-key arm the coordinator's
+// listener, -tls-ca (plus optional -tls-server-name) makes join verify
+// the coordinator, and -token arms both sides of a shared-secret
+// preamble that is checked before any protocol frame is processed.
+// Leave all of them unset only on loopback or a trusted network.
 //
 // -store DIR works as in cmd/experiments: results already in the store
-// are not re-dispatched (and their recorded wall times pre-seed the cost
-// model), and every result a worker streams back is written as it
-// merges, so an interrupted or failed run keeps everything the workers
-// completed.
+// are not re-dispatched, and every result a worker streams back is
+// written as it merges, so an interrupted or failed run keeps
+// everything the workers completed.
 //
-// Observability: every role accepts -metrics-addr to serve /metrics
+// Observability: both roles accept -metrics-addr to serve /metrics
 // (Prometheus text, or JSON via ?format=json) and /healthz over plain
 // HTTP — bind it to loopback or an internal interface. The coordinator
-// additionally beacons protocol-v4 heartbeats (-heartbeat) so idle
-// workers detect a vanished coordinator fast, and -max-idle bounds how
-// long an elastic run waits with zero workers before giving up. See the
-// Monitoring section of docs/OPERATIONS.md for the metric catalog.
+// additionally beacons heartbeats (-heartbeat) so idle workers detect a
+// vanished coordinator fast, and -max-idle bounds how long a run waits
+// with zero workers before giving up. See the Monitoring section of
+// docs/OPERATIONS.md for the metric catalog.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"log/slog"
-	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -99,99 +86,29 @@ func serveMetrics(role, addr string) *obs.Registry {
 }
 
 func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
-		case "serve":
-			serveMain(os.Args[2:])
-			return
-		case "join":
-			joinMain(os.Args[2:])
-			return
-		}
+	if len(os.Args) > 1 && os.Args[1] == "join" {
+		joinMain(os.Args[2:])
+		return
 	}
 	coordMain(os.Args[1:])
 }
 
-// serveMain is the worker daemon: accept coordinator connections and
-// serve the protocol on each, concurrently, until killed.
-func serveMain(args []string) {
-	fs := flag.NewFlagSet("expd serve", flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expd serve -listen :port [-tls-cert c.pem -tls-key k.pem] [-token secret]")
-		fmt.Fprintln(os.Stderr, "Worker daemon: accepts coordinators (expd -connect) and simulates their batches.")
-		fs.PrintDefaults()
-	}
-	listen := fs.String("listen", ":9700", "TCP address to accept coordinators on")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
-	sec := cliutil.SecurityFlags(fs)
-	fs.Parse(args)
-
-	reg := serveMetrics("serve", *metricsAddr)
-	ln, err := sec.Listen(*listen)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "expd serve:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "expd serve: listening on %s (%d CPUs, tls: %v, token auth: %v)\n",
-		ln.Addr(), runtime.NumCPU(), sec.CertFile != "", sec.Token != "")
-	failures := 0
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			// A transient accept failure (EMFILE, connection churn) must
-			// not kill a daemon mid-serve on other connections — but a
-			// listener that only ever errors is dead, so bounded
-			// consecutive failures exit instead of looping forever.
-			if errors.Is(err, net.ErrClosed) {
-				fmt.Fprintln(os.Stderr, "expd serve: listener closed:", err)
-				os.Exit(1)
-			}
-			failures++
-			fmt.Fprintf(os.Stderr, "expd serve: accept (%d consecutive failures): %v\n", failures, err)
-			if failures >= 10 {
-				fmt.Fprintln(os.Stderr, "expd serve: listener looks permanently broken, exiting")
-				os.Exit(1)
-			}
-			time.Sleep(100 * time.Millisecond)
-			continue
-		}
-		failures = 0
-		go func(c net.Conn) {
-			defer c.Close()
-			peer := c.RemoteAddr()
-			// The token preamble is verified before a single protocol
-			// frame is read; an unauthenticated peer never reaches Serve.
-			sc, err := sec.Secure(c)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "expd serve: coordinator %s: %v\n", peer, err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "expd serve: coordinator %s connected\n", peer)
-			if err := dist.Serve(sc, dist.WithMetrics(reg)); err != nil {
-				fmt.Fprintf(os.Stderr, "expd serve: coordinator %s: %v\n", peer, err)
-				return
-			}
-			fmt.Fprintf(os.Stderr, "expd serve: coordinator %s done\n", peer)
-		}(conn)
-	}
-}
-
-// joinMain is the elastic worker: dial a long-lived coordinator
-// (expd -accept-workers), register, and simulate its batches until the
-// run ends or this process is told to leave (SIGINT/SIGTERM → goodbye:
+// joinMain is the worker: dial a coordinator (expd -accept-workers, or
+// expq), register, and simulate its batches until the run ends or this
+// process is told to leave (SIGINT/SIGTERM → goodbye:
 // results already streamed are kept, the batch remainder is requeued).
 func joinMain(args []string) {
 	fs := flag.NewFlagSet("expd join", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: expd join coordinator:port [-name label] [-retry 2s] [-tls-ca ca.pem] [-token secret]")
-		fmt.Fprintln(os.Stderr, "Elastic worker: dials the coordinator's -accept-workers listener and joins its fleet,")
+		fmt.Fprintln(os.Stderr, "Worker: dials the coordinator's -accept-workers listener and joins its fleet,")
 		fmt.Fprintln(os.Stderr, "mid-run included. SIGINT/SIGTERM sends a goodbye and exits; finished results are kept.")
 		fs.PrintDefaults()
 	}
 	name := fs.String("name", "", "worker display name in coordinator logs (default host:pid)")
 	retry := fs.Duration("retry", 2*time.Second, "redial interval while the coordinator is unreachable (0 = try once)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
-	sec := cliutil.SecurityFlags(fs)
+	sec := cliutil.DialFlags(fs)
 
 	// Accept both `expd join host:port -flags` and `expd join -flags host:port`.
 	var addr string
@@ -258,7 +175,7 @@ func joinMain(args []string) {
 		}
 		if errors.Is(err, dist.ErrCoordinatorLost) && *retry > 0 {
 			// The coordinator went silent past its announced heartbeat
-			// grace (protocol v4): treat it like an unreachable
+			// grace: treat it like an unreachable
 			// coordinator and redial, rather than dying — a restarted
 			// coordinator wants its fleet back.
 			fmt.Fprintf(os.Stderr, "expd join: %v; redialing in %v\n", err, *retry)
@@ -287,40 +204,36 @@ func joinMain(args []string) {
 	}
 }
 
-// coordMain is the coordinator: build the fleet (dial -connect workers,
-// accept -accept-workers joiners), distribute the run, render locally.
+// coordMain is the coordinator: accept -accept-workers joiners,
+// distribute the run, render locally.
 func coordMain(args []string) {
 	fs := flag.NewFlagSet("expd", flag.ExitOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expd serve -listen :port                                (worker daemon)")
-		fmt.Fprintln(os.Stderr, "       expd join coordinator:port                              (elastic worker)")
-		fmt.Fprintln(os.Stderr, "       expd [-connect host:port,...] [-accept-workers :port] [flags]  (coordinator)")
-		fmt.Fprintln(os.Stderr, "The coordinator needs at least one of -connect and -accept-workers.")
+		fmt.Fprintln(os.Stderr, "usage: expd join coordinator:port                   (worker)")
+		fmt.Fprintln(os.Stderr, "       expd -accept-workers :port [flags]           (coordinator)")
 		fs.PrintDefaults()
 	}
 	var (
-		connect   = fs.String("connect", "", "comma-separated worker addresses to dial (expd serve daemons)")
-		accept    = fs.String("accept-workers", "", "TCP address to accept elastic workers on (expd join); they may join mid-run")
+		accept    = fs.String("accept-workers", "", "TCP address to accept workers on (expd join); they may join mid-run")
 		run       = fs.String("run", "", "comma-separated experiment names (default: the -all set)")
 		all       = fs.Bool("all", false, "run the standard experiment set (same as leaving -run empty; extras like fig5s run when named in -run)")
 		n         = fs.Int("n", 400_000, "timed instructions per sample")
 		warm      = fs.Int("warm", 150_000, "warmup instructions per sample")
-		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
-		batch     = fs.Int("batch", 0, "fixed jobs per dispatched batch (0 = cost-aware sizing from per-key estimates)")
+		parallel  = fs.Int("parallel", 0, "per-worker pool size, and the smallest batch dispatched (0 = each worker's GOMAXPROCS)")
 		storeDir  = fs.String("store", "", "load and persist results in this result-store directory (the expq -store layout)")
 		timeout   = fs.Duration("worker-timeout", 0, "declare a silent worker dead and reassign its batch after this long (must exceed one simulation's duration; 0 = wait forever)")
 		heartbeat = fs.Duration("heartbeat", 2*time.Second, "beacon a liveness heartbeat to every worker on this interval so idle workers detect a dead coordinator (0 = off)")
-		maxIdle   = fs.Duration("max-idle", 0, "give up an elastic run after this long with zero workers and jobs outstanding (0 = wait forever)")
+		maxIdle   = fs.Duration("max-idle", 0, "give up a run after this long with zero workers and jobs outstanding (0 = wait forever)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
 	)
-	sec := cliutil.SecurityFlags(fs)
+	sec := cliutil.AcceptFlags(fs)
 	fs.Parse(args)
 
 	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "expd:", err)
 		os.Exit(1)
 	}
-	if *connect == "" && *accept == "" {
+	if *accept == "" {
 		fs.Usage()
 		os.Exit(2)
 	}
@@ -350,7 +263,7 @@ func coordMain(args []string) {
 	cache := exp.NewCache()
 	cache.Instrument(reg)
 	opts := dist.Options{
-		Log: log, FrameTimeout: *timeout, BatchSize: *batch,
+		Log: log, FrameTimeout: *timeout,
 		Heartbeat: *heartbeat, MaxIdle: *maxIdle, Metrics: reg,
 	}
 	persistErr := func() error { return nil }
@@ -369,77 +282,27 @@ func coordMain(args []string) {
 		opts.OnMerge, persistErr = st.Persist(cache)
 	}
 
-	var workers []dist.Worker
-	for _, addr := range strings.Split(*connect, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		w, err := dist.DialTCP(addr, *sec)
-		if err != nil {
-			dist.CloseAll(workers)
-			fatal(err)
-		}
-		workers = append(workers, w)
+	ln, err := sec.Listen(*accept)
+	if err != nil {
+		fatal(err)
 	}
+	log.Info("accepting workers", obs.KeyAddr, ln.Addr().String(),
+		"tls", sec.CertFile != "", "token_auth", sec.Token != "")
+	join := make(chan dist.Worker)
+	opts.Join = join
+	runDone := make(chan struct{})
+	go cliutil.AcceptWorkers(ln, *sec, join, runDone, log)
+	// Once the run ends nothing reads the join channel again: stop
+	// accepting and turn away candidates already mid-handshake, so a
+	// late joiner gets a closed connection instead of a silent hang.
+	defer close(runDone)
+	defer ln.Close()
 
-	if *accept != "" {
-		ln, err := sec.Listen(*accept)
-		if err != nil {
-			dist.CloseAll(workers)
-			fatal(err)
-		}
-		log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
-			"tls", sec.CertFile != "", "token_auth", sec.Token != "")
-		join := make(chan dist.Worker)
-		opts.Join = join
-		runDone := make(chan struct{})
-		go acceptWorkers(ln, *sec, join, runDone, log)
-		// Once the run ends nothing reads the join channel again: stop
-		// accepting and turn away candidates already mid-handshake, so a
-		// late joiner gets a closed connection instead of a silent hang.
-		defer close(runDone)
-		defer ln.Close()
-	}
-
-	_, err := registry.ReportDistributed(os.Stdout, names, p, workers, *parallel, cache, opts)
+	_, err = registry.ReportDistributed(os.Stdout, names, p, *parallel, cache, opts)
 	if err == nil {
 		err = persistErr()
 	}
 	if err != nil {
 		fatal(err)
-	}
-}
-
-// acceptWorkers feeds registering dialers into the dispatcher's join
-// channel until the listener closes (when the run ends). Each candidate
-// is authenticated, then its register frame validated, off the accept
-// loop so one slow dialer cannot block the next; a worker whose
-// handshake finishes after the run ended is closed instead of parked on
-// the never-again-read join channel.
-func acceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, done <-chan struct{}, log *slog.Logger) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			peer := c.RemoteAddr().String()
-			sc, err := sec.Secure(c)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			w, err := dist.AcceptWorker(sc, peer)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			select {
-			case join <- w:
-			case <-done:
-				w.RW.Close()
-			}
-		}(conn)
 	}
 }

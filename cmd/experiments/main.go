@@ -51,21 +51,18 @@
 // exports every result set as machine-readable JSON.
 //
 // -workers N shards the simulations across N subprocess copies of this
-// binary (internal/dist): the deduplicated job plan is dispatched in
-// work-stealing batches over a length-delimited JSON protocol on each
-// worker's stdin/stdout, completed results stream back into the shared
-// cache as they finish, and the report is rendered locally from the warm
-// cache — so output is byte-identical to a single-process run at any
-// worker count, and a crashed worker's batch is reassigned to the
-// survivors. Batches are sized at dispatch time by a per-key cost model
-// (seeded from each spec's workload length and model class, refined
-// online from the wall times workers report), so cheap keys batch large
-// and expensive stragglers ship alone; they carry self-describing specs,
-// so workers need no matching job table. The hidden -worker-stdio flag
-// is the worker side of that protocol; cmd/expd speaks the same protocol
-// over TCP — with optional TLS and token auth, elastic worker join/leave
-// included — for multi-host runs (see docs/ARCHITECTURE.md and
-// docs/OPERATIONS.md).
+// binary (internal/dist): each worker registers over its stdin/stdout
+// exactly as an `expd join` worker registers over TCP, the deduplicated
+// job plan is dispatched in work-stealing batches over a
+// length-delimited JSON protocol, completed results stream back into
+// the shared cache as they finish, and the report is rendered locally
+// from the warm cache — so output is byte-identical to a single-process
+// run at any worker count, and a crashed worker's batch is reassigned
+// to the survivors. Batches carry self-describing specs, so workers need
+// no matching job table. The hidden -worker-stdio flag is the worker
+// side of that protocol; cmd/expd speaks the same protocol over TCP —
+// with optional TLS and token auth — for multi-host runs (see
+// docs/ARCHITECTURE.md and docs/OPERATIONS.md).
 //
 // -server URL submits the selected experiments (or the -spec suite) to
 // a running expq simulation daemon instead of simulating locally: the
@@ -101,6 +98,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -169,9 +167,15 @@ func main() {
 	flag.Parse()
 
 	if *flagWorkerStdio {
-		// Worker mode: speak the protocol on stdin/stdout and nothing
-		// else; the coordinator owns every other concern.
-		if err := dist.Serve(dist.Stdio()); err != nil {
+		// Worker mode: register, then speak the protocol on stdin/stdout
+		// and nothing else; the coordinator owns every other concern.
+		// The empty name lets the coordinator label it by spawn index.
+		rw := dist.Stdio()
+		err := dist.Register(rw, "")
+		if err == nil {
+			err = dist.Serve(rw)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments: worker:", err)
 			os.Exit(1)
 		}
@@ -343,12 +347,16 @@ func main() {
 		}()
 	}
 
-	var workers []dist.Worker
+	log := obs.NewLogger(os.Stderr)
+	distOpts := dist.Options{Log: log, OnMerge: persist}
 	if *flagWorkers > 0 {
-		var err error
-		if workers, err = spawnWorkers(); err != nil {
+		workers, fleet, err := spawnWorkers(log)
+		if err != nil {
 			fail(err)
 		}
+		// The run closes every worker it admitted; the rest are ours.
+		defer dist.CloseAll(workers)
+		distOpts.Join = fleet
 	}
 
 	// The span log records one entry per simulation — local pool workers
@@ -361,13 +369,13 @@ func main() {
 
 	sets := make(map[string]*exp.ResultSet)
 	exportN, exportWarm := *flagN, *flagWarm
-	distOpts := dist.Options{Log: obs.NewLogger(os.Stderr), Spans: spans, OnMerge: persist}
+	distOpts.Spans = spans
 	local := []exp.Option{exp.Parallelism(*flagParallel), exp.WithCache(cache), exp.WithSpans(spans), exp.OnRun(persist)}
 	var err error
 	switch {
 	case *flagSpec != "" && *flagWorkers > 0:
 		var rs *exp.ResultSet
-		rs, err = registry.ReportSuiteDistributed(os.Stdout, suite, workers, perWorkerParallel(), cache, distOpts)
+		rs, err = registry.ReportSuiteDistributed(os.Stdout, suite, perWorkerParallel(), cache, distOpts)
 		sets[suite.Name] = rs
 		exportN, exportWarm = suite.N, suite.Warm
 	case *flagSpec != "":
@@ -376,7 +384,7 @@ func main() {
 		sets[suite.Name] = rs
 		exportN, exportWarm = suite.N, suite.Warm
 	case *flagWorkers > 0:
-		sets, err = registry.ReportDistributed(os.Stdout, names, p, workers, perWorkerParallel(), cache, distOpts)
+		sets, err = registry.ReportDistributed(os.Stdout, names, p, perWorkerParallel(), cache, distOpts)
 	default:
 		sets, err = registry.Report(os.Stdout, names, p, local...)
 	}
@@ -494,22 +502,37 @@ func loadSuite(path string) (spec.Suite, error) {
 }
 
 // spawnWorkers self-execs -workers subprocess copies of this binary in
-// -worker-stdio mode and returns their coordinator-side transports.
-func spawnWorkers() ([]dist.Worker, error) {
+// -worker-stdio mode and admits each through its register frame
+// (dist.AcceptWorker), the handshake expd join workers make over TCP. It
+// returns every spawned transport — the caller closes the ones the run
+// never admitted — and the run's fixed fleet: a channel closed after the
+// last registered worker, so a run that loses every worker fails
+// instead of waiting for a join.
+func spawnWorkers(log *slog.Logger) ([]dist.Worker, <-chan dist.Worker, error) {
 	bin, err := os.Executable()
 	if err != nil {
-		return nil, fmt.Errorf("locating own binary for worker self-exec: %w", err)
+		return nil, nil, fmt.Errorf("locating own binary for worker self-exec: %w", err)
 	}
 	workers := make([]dist.Worker, 0, *flagWorkers)
 	for i := 0; i < *flagWorkers; i++ {
 		w, err := dist.Command(fmt.Sprintf("proc %d", i), bin, "-worker-stdio")
 		if err != nil {
 			dist.CloseAll(workers)
-			return nil, err
+			return nil, nil, err
 		}
 		workers = append(workers, w)
 	}
-	return workers, nil
+	fleet := make(chan dist.Worker, len(workers))
+	for _, w := range workers {
+		registered, err := dist.AcceptWorker(w.RW, w.Name)
+		if err != nil {
+			log.Info("rejecting worker", obs.KeyWorker, w.Name, obs.KeyCause, err)
+			continue
+		}
+		fleet <- registered
+	}
+	close(fleet)
+	return workers, fleet, nil
 }
 
 // perWorkerParallel splits the -parallel budget across workers (each

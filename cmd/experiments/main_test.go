@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"icfp/internal/dist"
 	"icfp/internal/exp"
 	"icfp/internal/obs"
 	"icfp/internal/store"
@@ -434,5 +435,61 @@ func TestJSONExportWithWorkers(t *testing.T) {
 	}
 	if ex.N != 2000 || len(ex.Experiments) != 1 {
 		t.Errorf("export = n %d, %d experiments; want 2000 and 1", ex.N, len(ex.Experiments))
+	}
+}
+
+// TestWorkerStdioRegisters pins the subprocess half of the one fleet
+// shape: a -worker-stdio subprocess registers exactly as a TCP worker
+// does, so AcceptWorker admits it (named by the coordinator's fallback,
+// since the subprocess sends no name), and the same register frame with
+// a skewed protocol version is refused with both versions named.
+func TestWorkerStdioRegisters(t *testing.T) {
+	bin := buildBinary(t)
+
+	w, err := dist.Command("proc 0", bin, "-worker-stdio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted, err := dist.AcceptWorker(w.RW, w.Name)
+	if err != nil {
+		t.Fatalf("registering subprocess refused: %v", err)
+	}
+	if admitted.Name != "proc 0" {
+		t.Errorf("admitted worker name = %q, want the fallback %q", admitted.Name, "proc 0")
+	}
+	// Closing stdin before init is a clean shutdown for the worker.
+	if err := admitted.RW.Close(); err != nil {
+		t.Errorf("worker exit after close: %v", err)
+	}
+
+	// Capture a real register frame, then replay it one version behind.
+	w, err = dist.Command("proc 1", bin, "-worker-stdio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := dist.ReadMessage(w.RW)
+	w.RW.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reg.Type != dist.TypeRegister || reg.Proto != dist.ProtoVersion {
+		t.Fatalf("first frame = %+v, want a register at v%d", reg, dist.ProtoVersion)
+	}
+	skew := *reg
+	skew.Proto--
+	coordEnd, workerEnd := dist.Pipe()
+	reply := make(chan *dist.Message, 1)
+	go func() {
+		dist.WriteMessage(workerEnd, &skew)
+		m, _ := dist.ReadMessage(workerEnd)
+		reply <- m
+	}()
+	_, err = dist.AcceptWorker(coordEnd, "skewed")
+	old, cur := fmt.Sprintf("v%d", skew.Proto), fmt.Sprintf("v%d", dist.ProtoVersion)
+	if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), cur) {
+		t.Errorf("skewed register = %v, want a refusal naming %s and %s", err, old, cur)
+	}
+	if m := <-reply; m == nil || m.Type != dist.TypeError || !strings.Contains(m.Err, old) || !strings.Contains(m.Err, cur) {
+		t.Errorf("skewed worker got %+v, want an error frame naming %s and %s", m, old, cur)
 	}
 }

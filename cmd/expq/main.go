@@ -40,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -75,7 +74,7 @@ func daemonMain(args []string) {
 		storeDir  = fs.String("store", "", "persistent result store directory (required)")
 		maxBytes  = fs.Int64("store-max-bytes", 0, "evict least-recently-accessed results past this store size (0 = unbounded)")
 		importC   = fs.String("import-cache", "", "one-shot migration: import this -cache-file snapshot into the store at startup")
-		accept    = fs.String("accept-workers", "", "TCP address to accept elastic expd join workers on (empty = simulate in-process)")
+		accept    = fs.String("accept-workers", "", "TCP address to accept expd join workers on (empty = simulate in-process)")
 		local     = fs.Int("local", 0, "in-process simulation pool size when no worker fleet is configured (0 = GOMAXPROCS)")
 		parallel  = fs.Int("parallel", 0, "per-worker pool size (0 = each worker's GOMAXPROCS)")
 		timeout   = fs.Duration("worker-timeout", 0, "declare a silent worker dead and reassign its batch after this long (0 = wait forever)")
@@ -83,7 +82,7 @@ func daemonMain(args []string) {
 		maxIdle   = fs.Duration("max-idle", 0, "fail a submission after this long with zero workers and jobs outstanding (0 = wait forever)")
 		metrics   = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = telemetry off)")
 	)
-	sec := cliutil.SecurityFlags(fs)
+	sec := cliutil.AcceptFlags(fs)
 	fs.Parse(args)
 
 	fatal := func(err error) {
@@ -127,12 +126,12 @@ func daemonMain(args []string) {
 			fatal(err)
 		}
 		defer ln.Close()
-		log.Info("accepting elastic workers", obs.KeyAddr, ln.Addr().String(),
+		log.Info("accepting workers", obs.KeyAddr, ln.Addr().String(),
 			"tls", sec.CertFile != "", "token_auth", sec.Token != "")
 		join = make(chan dist.Worker)
 		// The daemon outlives every submission: the accept loop never
 		// stands down, and workers redial between coordinator rounds.
-		go acceptWorkers(ln, *sec, join, log)
+		go cliutil.AcceptWorkers(ln, *sec, join, nil, log)
 	}
 
 	srv, err := serve.New(serve.Config{
@@ -178,34 +177,6 @@ func backendName(accept string) string {
 		return "local"
 	}
 	return "fleet"
-}
-
-// acceptWorkers feeds registering dialers into the service's join
-// channel for as long as the daemon lives. Authentication and the
-// register frame are handled off the accept loop so one slow dialer
-// cannot block the next (same shape as expd's coordinator, minus the
-// run-scoped shutdown: the daemon's fleet is permanent).
-func acceptWorkers(ln net.Listener, sec dist.Security, join chan<- dist.Worker, log *slog.Logger) {
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func(c net.Conn) {
-			peer := c.RemoteAddr().String()
-			sc, err := sec.Secure(c)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			w, err := dist.AcceptWorker(sc, peer)
-			if err != nil {
-				log.Info("rejecting worker", obs.KeyAddr, peer, obs.KeyCause, err)
-				return
-			}
-			join <- w
-		}(conn)
-	}
 }
 
 func submitMain(args []string) {

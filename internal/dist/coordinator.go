@@ -21,23 +21,22 @@ const (
 	// job that kills every worker that touches it is not. Clean goodbyes
 	// do not count against it.
 	DefaultMaxAttempts = 3
-	// maxBatchJobs bounds a cost-sized batch: even a queue of thousands
-	// of near-free keys stays stealable in bounded pieces.
+	// maxBatchJobs bounds one batch: even a queue of thousands of
+	// near-free keys stays stealable in bounded pieces.
 	maxBatchJobs = 64
+	// stealSlack is how many batches each active worker's share of the
+	// ready queue is split into. Higher values mean finer steals (better
+	// balance, more protocol round trips).
+	stealSlack = 4
 )
 
 // Options configure a coordinator run.
 type Options struct {
 	// Parallel is each worker's internal pool size (values below 1 mean
-	// the worker's GOMAXPROCS).
+	// the worker's GOMAXPROCS). It is also the batch floor (16 when
+	// unset): no batch is smaller than one job per pool slot while the
+	// queue lasts.
 	Parallel int
-	// BatchSize fixes the number of jobs per dispatched batch. Zero (the
-	// default) enables cost-aware sizing: batches are assembled at
-	// dispatch time from per-key cost estimates — statically seeded from
-	// each spec's workload length and model class, refined online from
-	// the wall times workers report — so cheap keys ride in large
-	// batches and known-expensive stragglers ship alone.
-	BatchSize int
 	// MaxAttempts caps dispatch attempts per job (default
 	// DefaultMaxAttempts). Clean goodbyes do not count.
 	MaxAttempts int
@@ -51,22 +50,23 @@ type Options struct {
 	// subprocess workers die with their pipes, which EOF on their own.
 	// Zero disables the timeout.
 	FrameTimeout time.Duration
-	// Join delivers workers that join the fleet mid-run (elastic mode:
-	// cmd/expd -accept-workers feeds registered dialers through here). A
-	// joined worker is handshaken and enters the work-stealing loop
-	// immediately. With Join set, a run whose last worker dies waits for
-	// the next join instead of failing — the operator decides when to
-	// give up (a -store run keeps every merged result). Closing the
-	// channel restores fail-when-all-workers-die semantics.
+	// Join is the run's fleet: every worker arrives through it, already
+	// registered (AcceptWorker), and enters the work-stealing loop
+	// immediately — mid-run included. While the channel is open, a run
+	// whose last worker dies waits for the next join instead of failing
+	// (the operator decides when to give up; a -store run keeps every
+	// merged result). A fixed fleet is a channel closed after its last
+	// worker: once it is closed and drained, losing every worker fails
+	// the run.
 	Join <-chan Worker
 	// Heartbeat, when positive, makes the coordinator beacon a
-	// heartbeat frame to every worker on this interval (protocol v4).
+	// heartbeat frame to every worker on this interval.
 	// Idle workers use it to detect a vanished coordinator within a few
 	// intervals instead of waiting out TCP keepalive; see
 	// ErrCoordinatorLost. Zero disables heartbeats.
 	Heartbeat time.Duration
-	// MaxIdle, when positive, bounds how long an elastic run (Options.
-	// Join set) tolerates having zero workers while jobs are still
+	// MaxIdle, when positive, bounds how long a run whose Join channel
+	// is still open tolerates having zero workers while jobs are still
 	// outstanding. On expiry the run fails with ErrFleetIdle — the
 	// give-up knob for fleets whose workers may never come back. Zero
 	// means wait forever (the operator decides via interrupt).
@@ -77,8 +77,8 @@ type Options struct {
 	Log *slog.Logger
 	// Metrics, when set, receives the coordinator's dispatch telemetry:
 	// queue depth, in-flight jobs, fleet size, per-worker batch and
-	// result counters, requeues, retirements, and the cost-model
-	// calibration ratio. A nil registry costs one nil check per event.
+	// result counters, requeues and retirements. A nil registry costs
+	// one nil check per event.
 	Metrics *obs.Registry
 	// Spans, when set, collects one obs.Span per merged result, labeled
 	// with the worker that simulated it — the distributed half of the
@@ -164,7 +164,7 @@ type pjob struct {
 }
 
 // dispatcher is the coordinator's shared state: the ready queue, the
-// in-flight count, fleet membership, and the cost model. One mutex
+// in-flight count, and fleet membership. One mutex
 // guards all of it; worker goroutines block on cond while the queue is
 // empty but work is still in flight (a crash or goodbye may requeue).
 type dispatcher struct {
@@ -190,78 +190,64 @@ type dispatcher struct {
 	met *distMetrics
 
 	transports []io.Closer // every admitted transport, closed when the run ends
-	model      *costModel
 	cache      *exp.Cache
 	opts       *Options
 	wg         sync.WaitGroup
 }
 
-// Run shards the plan's self-describing jobs across the workers and
-// merges every completed result into cache. Jobs whose key the cache
-// already has (filled from a result store, say) are not dispatched at
-// all.
-// Dispatch is work-stealing — idle workers pull the next batch, so shard
-// sizes adapt to worker speed — and, by default, cost-aware (see
-// Options.BatchSize). The fleet is elastic: workers arriving on
-// Options.Join enter the loop mid-run, a worker that sends goodbye
-// leaves cleanly (streamed results kept, unfinished remainder requeued,
-// no attempt counted), and a worker whose transport fails mid-batch has
-// the batch's unfinished remainder requeued for the survivors, up to
-// MaxAttempts dispatches per job. Worker-side errors (invalid specs,
-// simulation failures) abort the run with the worker's context attached.
-// Run closes every worker transport before returning; for subprocess
-// transports that also reaps the process.
-func Run(plan []spec.Job, workers []Worker, cache *exp.Cache, opts Options) error {
+// Run shards the plan's self-describing jobs across the workers that
+// arrive on Options.Join and merges every completed result into cache.
+// Jobs whose key the cache already has (filled from a result store, say)
+// are not dispatched at all.
+// Dispatch is work-stealing — idle workers pull the next batch, sized by
+// the count rule (batchSize), so shard sizes adapt to worker speed. A
+// worker that sends goodbye leaves cleanly (streamed results kept,
+// unfinished remainder requeued, no attempt counted), and a worker whose
+// transport fails mid-batch has the batch's unfinished remainder
+// requeued for the survivors, up to MaxAttempts dispatches per job.
+// Worker-side errors (invalid specs, simulation failures) abort the run
+// with the worker's context attached.
+// Run closes every transport it admitted before returning; for
+// subprocess transports that also reaps the process. A worker still
+// waiting on Join when the run ends was never admitted: whoever created
+// its transport closes it (closes are idempotent, so overlapping cleanup
+// is safe).
+func Run(plan []spec.Job, cache *exp.Cache, opts Options) error {
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = DefaultMaxAttempts
 	}
 
 	d := &dispatcher{
 		done:     make(chan struct{}),
-		joinable: opts.Join != nil,
-		model:    newCostModel(),
+		joinable: true,
 		cache:    cache,
 		opts:     &opts,
 		met:      newDistMetrics(opts.Metrics),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	opts.Metrics.GaugeFunc("dist_cost_model_ratio", "online static-units to wall-ns calibration of the dispatch cost model",
-		func() float64 { return d.model.calibration() })
 
-	var missing []spec.Job
 	for _, sj := range plan {
-		if _, ok := cache.Lookup(exp.KeyOf(sj)); !ok {
-			missing = append(missing, sj)
+		k := exp.KeyOf(sj)
+		if _, ok := cache.Lookup(k); !ok {
+			d.ready = append(d.ready, &pjob{sj: sj, key: k})
 		}
 	}
-	if len(missing) == 0 {
-		CloseAll(workers)
+	if len(d.ready) == 0 {
 		return nil
 	}
-	if len(workers) == 0 && opts.Join == nil {
-		return fmt.Errorf("dist: %d jobs to simulate but no workers", len(missing))
-	}
-	d.model.seedFromCache(cache, plan)
-	for _, sj := range missing {
-		d.ready = append(d.ready, &pjob{sj: sj, key: exp.KeyOf(sj)})
+	if opts.Join == nil {
+		return fmt.Errorf("dist: %d jobs to simulate but no workers", len(d.ready))
 	}
 	d.mu.Lock()
 	d.met.syncLocked(d)
 	d.mu.Unlock()
-	opts.event("dispatch started", obs.KeyJobs, len(missing), obs.KeyWorkers, len(workers), obs.KeyElastic, opts.Join != nil)
+	opts.event("dispatch started", obs.KeyJobs, len(d.ready))
 
-	for _, w := range workers {
-		d.admit(w)
-	}
-	if opts.Join != nil {
-		d.wg.Add(1)
-		go d.watchJoins(opts.Join)
-		if len(workers) == 0 {
-			// Starting with an empty elastic fleet: the give-up clock
-			// runs from the start, not only after a worker leaves.
-			d.armIdleTimer()
-		}
-	}
+	d.wg.Add(1)
+	go d.watchJoins(opts.Join)
+	// The fleet starts empty: the give-up clock runs from the start, not
+	// only after a worker leaves.
+	d.armIdleTimer()
 
 	<-d.done
 	// Unblock any worker goroutine still parked in a read, then wait so
@@ -330,10 +316,10 @@ func (d *dispatcher) remaining() int {
 	return d.remainingLocked()
 }
 
-// ErrFleetIdle reports that an elastic run had zero workers for the
-// whole Options.MaxIdle window with jobs still outstanding and gave up.
-// Distinct from the all-workers-failed error of inelastic runs: the
-// fleet was allowed to refill and nothing came.
+// ErrFleetIdle reports that a run with an open Join channel had zero
+// workers for the whole Options.MaxIdle window with jobs still
+// outstanding and gave up. Distinct from the all-workers-failed error of
+// fixed fleets: the fleet was allowed to refill and nothing came.
 var ErrFleetIdle = errors.New("dist: elastic fleet idle past the give-up window")
 
 // armIdleTimer starts the MaxIdle give-up clock if the fleet is
@@ -399,9 +385,8 @@ func (d *dispatcher) closeTransports() {
 }
 
 // next blocks until there is a batch to dispatch, returning nil when the
-// run is over. The returned jobs are moved from ready to in-flight; the
-// requesting worker's name sizes the batch to its measured speed.
-func (d *dispatcher) next(worker string) []*pjob {
+// run is over. The returned jobs are moved from ready to in-flight.
+func (d *dispatcher) next() []*pjob {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for {
@@ -409,7 +394,7 @@ func (d *dispatcher) next(worker string) []*pjob {
 			return nil
 		}
 		if len(d.ready) > 0 {
-			batch := d.takeBatchLocked(worker)
+			batch := d.takeBatchLocked()
 			d.inflight += len(batch)
 			d.batches++
 			d.met.batches.Inc()
@@ -431,8 +416,8 @@ func (d *dispatcher) next(worker string) []*pjob {
 // endBatch accounts a dispatched batch concluding (batch_done read, or
 // its error path entered) and completes the run when it was the last
 // loose end. Completion deliberately waits for every batch to conclude —
-// not merely for every job to merge — so the trailing cost-report and
-// batch_done frames are consumed before Run tears the transports down
+// not merely for every job to merge — so the trailing batch_done frame
+// is consumed before Run tears the transports down
 // and a clean run stays log-silent on both sides.
 func (d *dispatcher) endBatch() {
 	d.mu.Lock()
@@ -444,26 +429,29 @@ func (d *dispatcher) endBatch() {
 	}
 }
 
-// takeBatchLocked forms the next batch from the head of the ready queue.
-// With a fixed Options.BatchSize it takes exactly that many jobs; in
-// cost-aware mode the cost model sizes it (costModel.sizeBatch). The
-// floor keeps a worker's pool saturated by its own batch — the
-// coordinator cannot see a GOMAXPROCS-width pool, so it assumes a
-// generously wide host; stealing evens out the rest.
-func (d *dispatcher) takeBatchLocked(worker string) []*pjob {
-	n := len(d.ready)
-	if d.opts.BatchSize > 0 {
-		n = min(n, d.opts.BatchSize)
-	} else {
-		floor := d.opts.Parallel
-		if floor < 1 {
-			floor = 16
-		}
-		n = d.model.sizeBatch(d.ready, worker, d.active, floor, maxBatchJobs)
+// takeBatchLocked forms the next batch from the head of the ready queue,
+// sized by batchSize. The floor keeps a worker's pool saturated by its
+// own batch — the coordinator cannot see a GOMAXPROCS-width pool, so it
+// assumes a generously wide host; stealing evens out the rest.
+func (d *dispatcher) takeBatchLocked() []*pjob {
+	floor := d.opts.Parallel
+	if floor < 1 {
+		floor = 16
 	}
+	n := batchSize(len(d.ready), d.active, floor, maxBatchJobs)
 	batch := d.ready[:n]
 	d.ready = d.ready[n:]
 	return batch
+}
+
+// batchSize is the count rule: a batch takes an even share of the
+// queue per active worker, split stealSlack ways so a fast worker can
+// pick up a slow one's leftovers — at least floor jobs, at most maxJobs,
+// and never more than the queue holds.
+func batchSize(queue, active, floor, maxJobs int) int {
+	slots := max(active, 1) * stealSlack
+	share := (queue + slots - 1) / slots
+	return min(max(share, floor, 1), maxJobs, queue)
 }
 
 // requeue returns a batch's unfinished jobs to the ready queue. When
@@ -602,10 +590,8 @@ func (d *dispatcher) runWorker(w Worker) {
 		go d.beat(conn, stop)
 	}
 	batchCount := d.met.reg.Counter("dist_worker_batches_total", "batches dispatched per worker", "worker", w.Name)
-	d.met.reg.GaugeFunc("dist_worker_speed", "measured throughput relative to the fleet-average calibration (1 until measured)",
-		func() float64 { return d.model.speed(w.Name) }, "worker", w.Name)
 	for {
-		batch := d.next(w.Name)
+		batch := d.next()
 		if batch == nil {
 			d.retire(w, "")
 			return
@@ -682,7 +668,7 @@ func initWorker(w Worker, conn *coordConn, opts *Options) error {
 }
 
 // runBatch dispatches one batch, merging its streamed results into the
-// cache and its cost reports into the model, until batch_done. On a
+// cache, until batch_done. On a
 // transport failure or goodbye it returns the jobs still owed, in
 // dispatch order, for requeueing; worker-reported errors come back as
 // fatalError.
@@ -723,10 +709,6 @@ func (d *dispatcher) runBatch(w Worker, conn *coordConn, batch []*pjob) (owed []
 			}
 			d.cache.AddResults([]exp.CachedResult{*m.Result})
 			k := exp.Key{Machine: m.Result.Machine, Workload: m.Result.Workload}
-			if m.Result.ElapsedNS > 0 {
-				d.model.observe(k, float64(m.Result.ElapsedNS))
-				d.model.observeWorker(w.Name, k, float64(m.Result.ElapsedNS))
-			}
 			if _, ok := remaining[k]; ok {
 				delete(remaining, k)
 				d.merged()
@@ -744,12 +726,6 @@ func (d *dispatcher) runBatch(w Worker, conn *coordConn, batch []*pjob) (owed []
 						ElapsedNS: m.Result.ElapsedNS,
 					})
 				}
-			}
-		case TypeCostReport:
-			for _, kc := range m.Costs {
-				kk := exp.Key{Machine: kc.Machine, Workload: kc.Workload}
-				d.model.observe(kk, float64(kc.ElapsedNS))
-				d.model.observeWorker(w.Name, kk, float64(kc.ElapsedNS))
 			}
 		case TypeGoodbye:
 			return still(), errGoodbye

@@ -65,6 +65,17 @@ func localResults(t *testing.T, jobs []exp.Job) map[exp.Key]pipeline.Result {
 	return out
 }
 
+// fleet returns a fixed fleet: a join channel holding the workers,
+// closed after the last one.
+func fleet(workers ...dist.Worker) <-chan dist.Worker {
+	ch := make(chan dist.Worker, len(workers))
+	for _, w := range workers {
+		ch <- w
+	}
+	close(ch)
+	return ch
+}
+
 // startWorker serves one in-process worker over a pipe and returns the
 // coordinator-side handle plus a channel carrying Serve's error.
 func startWorker(t *testing.T, name string, opts ...dist.ServeOption) (dist.Worker, <-chan error) {
@@ -83,7 +94,6 @@ func TestProtocolRoundTrip(t *testing.T) {
 		{Type: dist.TypeReady},
 		{Type: dist.TypeBatch, BatchID: 1, Jobs: []spec.Job{job.Spec()}},
 		{Type: dist.TypeResult, Result: &exp.CachedResult{Machine: job.Key().Machine, Workload: job.Key().Workload, R: pipeline.Result{Cycles: 42}, ElapsedNS: 1234}},
-		{Type: dist.TypeCostReport, Costs: []dist.KeyCost{{Machine: job.Key().Machine, Workload: job.Key().Workload, ElapsedNS: 1234}}},
 		{Type: dist.TypeBatchDone, BatchID: 1},
 		{Type: dist.TypeGoodbye},
 		{Type: dist.TypeError, Err: "boom"},
@@ -144,7 +154,7 @@ func TestRunMergesAllResults(t *testing.T) {
 		workers = append(workers, w)
 	}
 	cache := exp.NewCache()
-	if err := dist.Run(plan, workers, cache, dist.Options{BatchSize: 2, Parallel: 1}); err != nil {
+	if err := dist.Run(plan, cache, dist.Options{Join: fleet(workers...), Parallel: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for i, sj := range plan {
@@ -180,7 +190,7 @@ func TestRunSkipsCachedKeys(t *testing.T) {
 
 	var remote atomic.Int64
 	w, _ := startWorker(t, "w0", dist.OnSimulate(func(exp.Key) { remote.Add(1) }))
-	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Parallel: 1}); err != nil {
+	if err := dist.Run(plan, cache, dist.Options{Join: fleet(w), Parallel: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := remote.Load(); got != 2 {
@@ -188,12 +198,16 @@ func TestRunSkipsCachedKeys(t *testing.T) {
 	}
 
 	// Fully warm: no workers required.
-	if err := dist.Run(plan, nil, cache, dist.Options{}); err != nil {
+	if err := dist.Run(plan, cache, dist.Options{}); err != nil {
 		t.Errorf("warm-cache run with no workers: %v", err)
 	}
 	// Cold with no workers must error, not hang.
-	if err := dist.Run(plan, nil, exp.NewCache(), dist.Options{}); err == nil {
+	if err := dist.Run(plan, exp.NewCache(), dist.Options{}); err == nil {
 		t.Error("cold run with no workers must fail")
+	}
+	// Cold with a fixed fleet that closes empty must fail too.
+	if err := dist.Run(plan, exp.NewCache(), dist.Options{Join: fleet()}); err == nil {
+		t.Error("cold run with an empty fixed fleet must fail")
 	}
 }
 
@@ -272,10 +286,10 @@ func TestCrashRecovery(t *testing.T) {
 	survivor := dist.Worker{Name: "survivor", RW: survCoord}
 
 	cache := exp.NewCache()
-	err = dist.Run(plan, []dist.Worker{victim, survivor}, cache, dist.Options{
-		BatchSize: len(plan), // one batch: the crash strands a big remainder
-		Parallel:  1,         // deterministic in-worker order: one result lands before the crash
-		Log:       testLog(t),
+	err = dist.Run(plan, cache, dist.Options{
+		Join:     fleet(victim, survivor),
+		Parallel: len(plan), // the batch floor makes it one batch: the crash strands a big remainder
+		Log:      testLog(t),
 	})
 	if err != nil {
 		t.Fatalf("run with one crashed worker must still succeed, got: %v", err)
@@ -339,8 +353,9 @@ func TestStalledWorkerTimesOut(t *testing.T) {
 	survivor := dist.Worker{Name: "survivor", RW: survCoord}
 
 	cache := exp.NewCache()
-	err = dist.Run(plan, []dist.Worker{staller, survivor}, cache, dist.Options{
-		BatchSize:    len(plan),
+	err = dist.Run(plan, cache, dist.Options{
+		Join:         fleet(staller, survivor),
+		Parallel:     len(plan), // one batch, all of it stranded on the staller
 		FrameTimeout: 150 * time.Millisecond,
 		Log:          testLog(t),
 	})
@@ -368,7 +383,8 @@ func TestRetryCapFails(t *testing.T) {
 	dying := newDyingRW(workerEnd, 1) // ready only; every result write fails
 	go dist.Serve(dying)
 
-	err = dist.Run(plan, []dist.Worker{{Name: "flaky", RW: coordEnd}}, exp.NewCache(), dist.Options{
+	err = dist.Run(plan, exp.NewCache(), dist.Options{
+		Join:        fleet(dist.Worker{Name: "flaky", RW: coordEnd}),
 		MaxAttempts: 1,
 	})
 	if err == nil {
@@ -389,7 +405,7 @@ func TestWorkerRejectsInvalidJobSpec(t *testing.T) {
 		Machine:  spec.Machine{Model: "not-a-model"},
 		Workload: spec.ScenarioWorkload(workload.ScenarioLoneL2),
 	}}
-	err := dist.Run(rogue, []dist.Worker{w}, exp.NewCache(), dist.Options{})
+	err := dist.Run(rogue, exp.NewCache(), dist.Options{Join: fleet(w)})
 	if err == nil || !strings.Contains(err.Error(), "invalid job spec") {
 		t.Errorf("run error = %v, want the worker's invalid-spec diagnostic", err)
 	}
@@ -467,7 +483,7 @@ func TestProtocolVersionMismatchNamesBothVersions(t *testing.T) {
 				Err: fmt.Sprintf("protocol version mismatch: coordinator %d, worker %d", m.Proto, 1)})
 		}
 	}()
-	err = dist.Run(plan, []dist.Worker{{Name: "v1-worker", RW: c2}}, exp.NewCache(), dist.Options{})
+	err = dist.Run(plan, exp.NewCache(), dist.Options{Join: fleet(dist.Worker{Name: "v1-worker", RW: c2})})
 	if err == nil || !strings.Contains(err.Error(), "version mismatch") ||
 		!strings.Contains(err.Error(), fmt.Sprintf("%d", dist.ProtoVersion)) || !strings.Contains(err.Error(), "1") {
 		t.Errorf("run against a v1 worker = %v, want a fatal version-mismatch error naming both versions", err)
@@ -505,14 +521,6 @@ func TestWorkerAnswersRedispatchFromCache(t *testing.T) {
 			}
 			if m.Type == dist.TypeBatchDone {
 				break
-			}
-			if m.Type == dist.TypeCostReport {
-				// Only fresh simulations report costs; a batch answered
-				// entirely from the worker's cache stays silent.
-				if batch == 2 {
-					t.Errorf("cache-served batch sent a cost report: %+v", m.Costs)
-				}
-				continue
 			}
 			if m.Type != dist.TypeResult {
 				t.Fatalf("unexpected %q frame", m.Type)
@@ -579,19 +587,21 @@ func TestGoodbyeMidBatchReassignsRemainder(t *testing.T) {
 	}()
 	leaver := dist.Worker{Name: "leaver", RW: coordEnd}
 
-	// The joiner arrives through the join channel only after the goodbye
-	// is on the wire: its work can only be the requeued remainder.
+	// The leaver is the fleet's first worker; the joiner arrives through
+	// the join channel only after the goodbye is on the wire, so its work
+	// can only be the requeued remainder.
 	var joinerRuns atomic.Int64
 	join := make(chan dist.Worker)
 	go func() {
+		join <- leaver
 		<-saidGoodbye
 		w, _ := startWorker(t, "joiner", dist.OnSimulate(func(exp.Key) { joinerRuns.Add(1) }))
 		join <- w
 	}()
 
 	cache := exp.NewCache()
-	err = dist.Run(plan, []dist.Worker{leaver}, cache, dist.Options{
-		BatchSize:   len(plan),
+	err = dist.Run(plan, cache, dist.Options{
+		Parallel:    len(plan), // the batch floor makes it one batch
 		MaxAttempts: 1,
 		Join:        join,
 		Log:         testLog(t),
@@ -654,7 +664,7 @@ func TestJoinIntoRunningDispatchReceivesWork(t *testing.T) {
 	}()
 
 	cache := exp.NewCache()
-	if err := dist.Run(plan, nil, cache, dist.Options{Join: join, Log: testLog(t)}); err != nil {
+	if err := dist.Run(plan, cache, dist.Options{Join: join, Log: testLog(t)}); err != nil {
 		t.Fatalf("elastic run starting with an empty fleet: %v", err)
 	}
 	for i, sj := range plan {
@@ -791,7 +801,8 @@ func TestHeartbeatRunAndMetrics(t *testing.T) {
 	w, serveErr := startWorker(t, "w0", dist.WithMetrics(wreg))
 	creg := obs.NewRegistry()
 	cache := exp.NewCache()
-	err = dist.Run(plan, []dist.Worker{w}, cache, dist.Options{
+	err = dist.Run(plan, cache, dist.Options{
+		Join:      fleet(w),
 		Parallel:  1,
 		Heartbeat: 20 * time.Millisecond,
 		Metrics:   creg,
@@ -896,7 +907,7 @@ func TestMaxIdleGivesUp(t *testing.T) {
 	}
 	join := make(chan dist.Worker) // never delivers
 	start := time.Now()
-	err = dist.Run(plan, nil, exp.NewCache(), dist.Options{
+	err = dist.Run(plan, exp.NewCache(), dist.Options{
 		Join:    join,
 		MaxIdle: 80 * time.Millisecond,
 		Log:     testLog(t),
@@ -929,7 +940,7 @@ func TestMaxIdleDisarmedByJoin(t *testing.T) {
 		join <- w
 	}()
 	cache := exp.NewCache()
-	if err := dist.Run(plan, nil, cache, dist.Options{
+	if err := dist.Run(plan, cache, dist.Options{
 		Join:    join,
 		MaxIdle: 2 * time.Second,
 		Log:     testLog(t),

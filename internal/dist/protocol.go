@@ -12,35 +12,29 @@
 // Coordinator and worker speak a length-delimited JSON protocol over an
 // abstract transport: net.Pipe in tests, the stdin/stdout of a
 // self-exec'd subprocess (cmd/experiments -workers), or a TCP connection
-// (cmd/expd) for multi-host runs — optionally wrapped in TLS with a
-// shared-token preamble (Security) when the fleet spans more than a
-// trusted loopback. Since protocol v2 every batch carries
-// self-describing spec.Jobs — a worker needs no prior copy of the job
-// table, no registry, and no handshake cross-check beyond the protocol
-// version, so heterogeneous fleets (different binaries, elastically
-// joining workers) interoperate as long as they speak the same spec
-// vocabulary.
+// (cmd/expd join, cmd/expq) for multi-host runs — optionally wrapped in
+// TLS with a shared-token preamble (Security) when the fleet spans more
+// than a trusted loopback. Every batch carries self-describing
+// spec.Jobs, so a worker needs no prior copy of the job table, no
+// registry, and no handshake cross-check beyond the protocol version.
 //
-// Protocol v3 makes fleets elastic and dispatch cost-aware. Workers may
-// dial a long-lived coordinator and announce themselves with a register
-// frame (Register/AcceptWorker), join a run already in flight
-// (Options.Join), and leave it cleanly with a goodbye frame — everything
-// they streamed back before leaving is kept, and only their unfinished
-// remainder is redispatched. Batches are sized at dispatch time by a
-// per-key cost model: a static estimate derived from each spec (workload
-// length × model class) refined online by the observed wall times that
-// workers stream back in cost-report frames, so cheap keys ride in large
-// batches while known-expensive stragglers ship alone.
-//
-// Protocol v4 adds coordinator heartbeats: the init frame announces an
-// interval and the coordinator beacons on it, so an idle worker whose
-// coordinator vanished (host gone, network partition) notices within a
-// few intervals instead of waiting out TCP keepalive. The package is
-// also instrumented end to end (internal/obs): Options.Metrics exposes
-// queue depth, per-worker batch counters, requeues and retirements on
-// the coordinator; WithMetrics does the same for a serving worker,
-// including a last-heartbeat-age gauge. The full frame catalog lives in
-// docs/ARCHITECTURE.md.
+// There is one fleet shape: every worker announces itself with a
+// register frame (Register), the coordinator admits it (AcceptWorker)
+// and feeds it to a run through Options.Join, and the handshake is
+// register → init → ready. Workers may join a run already in flight and
+// leave it cleanly with a goodbye frame — everything they streamed back
+// before leaving is kept, and only their unfinished remainder is
+// redispatched. A fixed fleet (cmd/experiments -workers) is a Join
+// channel closed after its last worker. Batches are sized by one count
+// rule: a share of the ready queue per active worker, floored at the
+// worker pool size. The coordinator beacons heartbeats at the interval
+// the init frame announces, so an idle worker whose coordinator vanished
+// notices within a few intervals instead of waiting out TCP keepalive.
+// The package is instrumented end to end (internal/obs): Options.Metrics
+// exposes queue depth, per-worker batch counters, requeues and
+// retirements on the coordinator; WithMetrics does the same for a
+// serving worker, including a last-heartbeat-age gauge. The full frame
+// catalog lives in docs/ARCHITECTURE.md.
 package dist
 
 import (
@@ -59,11 +53,13 @@ import (
 // the elastic-fleet frames (register, goodbye) and per-key cost reports;
 // version 4 added coordinator liveness heartbeats (the init frame
 // announces the interval, heartbeat frames keep idle connections
-// provably alive). Coordinator and workers must match exactly: results
+// provably alive); version 5 dropped the cost_report frame and made
+// register the first frame of every worker. Coordinator and workers
+// must match exactly: results
 // are only portable between compatible simulators, so version skew is a
 // handshake error — reported with both versions named — not something
 // to paper over.
-const ProtoVersion = 4
+const ProtoVersion = 5
 
 // maxFrame bounds one protocol frame. The largest real frames are batch
 // messages (a few spec jobs) and single results — far below this; the
@@ -73,11 +69,9 @@ const maxFrame = 64 << 20
 
 // Message types, in handshake-then-dispatch order.
 const (
-	// TypeRegister is worker → coordinator, and only on connections the
-	// worker dialed (elastic join): the worker announces its protocol
-	// version and display name before the normal init/ready handshake.
-	// Coordinator-dialed workers skip it — the dialer already knows who
-	// it connected to.
+	// TypeRegister is worker → coordinator, the first frame of every
+	// worker: its protocol version and display name, sent before the
+	// init/ready handshake the coordinator initiates.
 	TypeRegister = "register"
 	// TypeInit is coordinator → worker: the protocol version plus the
 	// worker-pool parallelism to simulate with.
@@ -90,11 +84,6 @@ const (
 	// TypeResult is worker → coordinator: one completed simulation,
 	// streamed as soon as it finishes (not held until the batch ends).
 	TypeResult = "result"
-	// TypeCostReport is worker → coordinator: the observed wall times of
-	// the batch's freshly simulated keys, sent just before batch_done.
-	// Purely advisory — it feeds the coordinator's dispatch-time cost
-	// model and never affects results.
-	TypeCostReport = "cost_report"
 	// TypeBatchDone is worker → coordinator: every job of the identified
 	// batch has been simulated and its result sent.
 	TypeBatchDone = "batch_done"
@@ -115,14 +104,6 @@ const (
 	// context; the receiver aborts the run.
 	TypeError = "error"
 )
-
-// KeyCost is one cost-report entry: the canonical key of a simulation
-// this worker actually ran in the reported batch, and how long it took.
-type KeyCost struct {
-	Machine   string `json:"machine"`
-	Workload  string `json:"workload"`
-	ElapsedNS int64  `json:"elapsed_ns"`
-}
 
 // Message is one protocol frame. Type selects which of the remaining
 // fields are meaningful.
@@ -148,9 +129,6 @@ type Message struct {
 
 	// Result.
 	Result *exp.CachedResult `json:"result,omitempty"`
-
-	// CostReport.
-	Costs []KeyCost `json:"costs,omitempty"`
 
 	// Error.
 	Err string `json:"err,omitempty"`

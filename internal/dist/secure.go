@@ -12,17 +12,17 @@ import (
 	"time"
 )
 
-// Security configures transport protection for the TCP endpoints
-// (cmd/expd): TLS on the stream and a shared-token preamble that the
-// dialing side must present before the accepting side processes a single
-// protocol frame. The zero value is plaintext and unauthenticated — fine
-// for loopback and tests, never for anything routable (see
-// docs/OPERATIONS.md for the multi-host setup).
+// Security configures transport protection for the TCP endpoints: TLS
+// on the stream and a shared-token preamble that the dialing side must
+// present before the accepting side processes a single protocol frame.
+// The zero value is plaintext and unauthenticated — fine for loopback
+// and tests, never for anything routable (see docs/OPERATIONS.md for
+// the multi-host setup).
 //
-// Both connection directions exist in an elastic fleet (coordinators
-// dial workers with -connect; workers dial coordinators with expd join),
-// so each process may act as dialer, acceptor, or both. CertFile/KeyFile
-// arm the accepting side; CAFile arms the dialing side; Token arms both.
+// Workers dial (expd join) and coordinators accept (expd
+// -accept-workers, expq), so each process plays one side. CertFile/
+// KeyFile arm the accepting side; CAFile arms the dialing side; Token
+// arms both.
 type Security struct {
 	// CertFile and KeyFile are the accepting side's PEM certificate and
 	// key; both set enables TLS on Listen.

@@ -7,6 +7,8 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"encoding/pem"
+	"errors"
+	"fmt"
 	"math/big"
 	"net"
 	"os"
@@ -61,13 +63,14 @@ func genCert(t *testing.T) (certFile, keyFile string) {
 }
 
 // TestTLSTokenTransportRoundTrip runs a real dispatch over a real TCP
-// connection wrapped in TLS with token auth — the full cmd/expd
-// transport stack — and pins that results coming through it match a
-// local run exactly.
+// connection wrapped in TLS with token auth — the full expd transport
+// stack, in the one direction fleets use: the worker dials and
+// registers, the coordinator runs Secure then AcceptWorker — and pins
+// that results coming through it match a local run exactly.
 func TestTLSTokenTransportRoundTrip(t *testing.T) {
 	certFile, keyFile := genCert(t)
-	serverSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
-	clientSec := dist.Security{CAFile: certFile, Token: "fleet-secret"}
+	coordSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
+	workerSec := dist.Security{CAFile: certFile, Token: "fleet-secret"}
 
 	jobs := testJobs(4)
 	want := localResults(t, jobs)
@@ -76,33 +79,43 @@ func TestTLSTokenTransportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ln, err := serverSec.Listen("127.0.0.1:0")
+	ln, err := coordSec.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	serveErr := make(chan error, 1)
 	go func() {
-		conn, err := ln.Accept()
+		conn, err := workerSec.Dial(ln.Addr().String())
 		if err != nil {
 			serveErr <- err
 			return
 		}
 		defer conn.Close()
-		sc, err := serverSec.Secure(conn)
-		if err != nil {
+		if err := dist.Register(conn, "tls-worker"); err != nil {
 			serveErr <- err
 			return
 		}
-		serveErr <- dist.Serve(sc)
+		serveErr <- dist.Serve(conn)
 	}()
 
-	w, err := dist.DialTCP(ln.Addr().String(), clientSec)
+	conn, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc, err := coordSec.Secure(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := dist.AcceptWorker(sc, "fallback")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Name != "tls-worker" {
+		t.Errorf("accepted worker name = %q, want the registered name", w.Name)
+	}
 	cache := exp.NewCache()
-	if err := dist.Run(plan, []dist.Worker{w}, cache, dist.Options{Log: testLog(t)}); err != nil {
+	if err := dist.Run(plan, cache, dist.Options{Join: fleet(w), Log: testLog(t)}); err != nil {
 		t.Fatalf("run over TLS+token transport: %v", err)
 	}
 	for i, sj := range plan {
@@ -121,13 +134,14 @@ func TestTLSTokenTransportRoundTrip(t *testing.T) {
 }
 
 // TestTLSDialRejectsWrongToken pins the accept-side ordering over the
-// real transport: a TLS-valid dialer with the wrong fleet token is
-// dropped by the preamble check before any protocol frame is processed.
+// real transport: a TLS-valid dialing worker with the wrong fleet token
+// is dropped by the preamble check before any protocol frame — its
+// register frame included — is processed.
 func TestTLSDialRejectsWrongToken(t *testing.T) {
 	certFile, keyFile := genCert(t)
-	serverSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
+	coordSec := dist.Security{CertFile: certFile, KeyFile: keyFile, Token: "fleet-secret"}
 
-	ln, err := serverSec.Listen("127.0.0.1:0")
+	ln, err := coordSec.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,15 +154,22 @@ func TestTLSDialRejectsWrongToken(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, err = serverSec.Secure(conn)
+		sc, err := coordSec.Secure(conn)
+		if err == nil {
+			_, aerr := dist.AcceptWorker(sc, "intruder")
+			err = errors.New("Secure admitted a bad preamble; AcceptWorker then read: " + fmt.Sprint(aerr))
+		}
 		rejected <- err
 	}()
 
-	w, err := dist.DialTCP(ln.Addr().String(), dist.Security{CAFile: certFile, Token: "wrong"})
+	conn, err := dist.Security{CAFile: certFile, Token: "wrong"}.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.RW.Close()
+	defer conn.Close()
+	// The register write may or may not land before the coordinator
+	// hangs up; either way it must never be read.
+	dist.Register(conn, "intruder")
 	if err := <-rejected; err == nil || !strings.Contains(err.Error(), "token") {
 		t.Errorf("Secure with a wrong token = %v, want a token rejection", err)
 	}

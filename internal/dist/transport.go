@@ -10,19 +10,19 @@ import (
 	"time"
 )
 
-// Worker is one remote worker from the coordinator's point of view: a
-// name for error context ("proc 2", "hostB:9700") and the protocol
-// transport. The coordinator owns the transport and closes it when the
-// run ends; stream-level workers (Serve) treat that close as the
-// shutdown signal.
+// Worker is one registered worker from the coordinator's point of view
+// (see AcceptWorker): a name for error context ("proc 2", "hostB:4242")
+// and the protocol transport. Once a run admits it, the coordinator owns
+// the transport and closes it when the run ends; stream-level workers
+// (Serve) treat that close as the shutdown signal.
 type Worker struct {
 	Name string
 	RW   io.ReadWriteCloser
 }
 
-// CloseAll closes every worker transport, the cleanup owed on any path
-// that stops short of (or finishes) dispatch. Closes are idempotent, so
-// overlapping cleanup paths are safe.
+// CloseAll closes every worker transport, the cleanup a transport's
+// creator owes for workers a run never admitted. Closes are idempotent,
+// so overlapping with Run's own cleanup is safe.
 func CloseAll(workers []Worker) {
 	for _, w := range workers {
 		w.RW.Close()
@@ -34,18 +34,6 @@ func CloseAll(workers []Worker) {
 // other to the coordinator.
 func Pipe() (coord, worker io.ReadWriteCloser) {
 	return net.Pipe()
-}
-
-// DialTCP connects to a worker serving at addr (cmd/expd serve), under
-// the given transport security (TLS when sec.CAFile is set, token
-// preamble when sec.Token is set; the zero Security is plaintext), and
-// names it after the address.
-func DialTCP(addr string, sec Security) (Worker, error) {
-	conn, err := sec.Dial(addr)
-	if err != nil {
-		return Worker{}, fmt.Errorf("dist: connecting to worker %s: %w", addr, err)
-	}
-	return Worker{Name: addr, RW: conn}, nil
 }
 
 // Stdio returns the worker-side transport of a subprocess worker: frames
@@ -67,7 +55,8 @@ const killGrace = 5 * time.Second
 
 // Command starts bin with args as a subprocess worker speaking the
 // protocol on its stdin/stdout (the -worker-stdio mode of
-// cmd/experiments) and returns the coordinator-side transport. The
+// cmd/experiments) and returns the coordinator-side transport, not yet
+// registered: pass it through AcceptWorker like any dialed worker. The
 // worker's stderr passes through to this process's stderr. Closing the
 // transport closes the worker's stdin — its signal to exit — and reaps
 // the process, killing it if it outlives the grace period.

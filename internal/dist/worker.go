@@ -13,8 +13,8 @@ import (
 	"icfp/internal/obs"
 )
 
-// maxWorkerParallel caps the coordinator-requested pool size: the spec
-// arrives over the network on TCP workers, and no legitimate coordinator
+// maxWorkerParallel caps the coordinator-requested pool size: the init
+// frame arrives over the network on TCP workers, and no legitimate coordinator
 // asks for a wider pool than any real machine has.
 const maxWorkerParallel = 4096
 
@@ -69,22 +69,23 @@ func LeaveOn(ch <-chan struct{}) ServeOption {
 	return func(o *serveOptions) { o.leave = ch }
 }
 
-// Register announces a dialing worker to an accepting coordinator
-// (cmd/expd join → -accept-workers): one register frame carrying the
-// protocol version and the worker's display name, sent before the
-// normal init/ready handshake that the coordinator initiates. The
-// matching accept side is AcceptWorker.
+// Register announces a worker to its coordinator: one register frame
+// carrying the protocol version and the worker's display name, sent
+// before Serve runs the init/ready handshake the coordinator initiates.
+// Every worker sends it — expd join over TCP, -worker-stdio over its
+// stdio. The matching accept side is AcceptWorker.
 func Register(rw io.Writer, name string) error {
 	return WriteMessage(rw, &Message{Type: TypeRegister, Proto: ProtoVersion, Name: name})
 }
 
-// AcceptWorker completes the coordinator side of an elastic join: it
-// reads the dialer's register frame, rejects protocol-version skew with
-// an error frame naming both versions, and returns the worker handle to
-// feed into Options.Join. Transport security (Security.Secure) must
-// already have run: by the time a register frame is parsed the peer has
-// proven token possession. fallbackName names the worker when the
-// register frame carries no name (typically the remote address).
+// AcceptWorker admits one worker on the coordinator side: it reads the
+// worker's register frame, rejects protocol-version skew with an error
+// frame naming both versions, and returns the worker handle to feed into
+// Options.Join. On a TCP transport, Security.Secure must already have
+// run: by the time a register frame is parsed the peer has proven token
+// possession. fallbackName names the worker when the register frame
+// carries no name (the remote address, or a subprocess index). On
+// failure the transport is closed.
 //
 // The register read is bounded by a deadline on transports that support
 // one, so a connected-but-silent peer (port scanner, health check)
@@ -105,7 +106,7 @@ func AcceptWorker(rw io.ReadWriteCloser, fallbackName string) (Worker, error) {
 		return Worker{}, fmt.Errorf("dist: expected a %q frame, got %q", TypeRegister, m.Type)
 	}
 	if m.Proto != ProtoVersion {
-		err := fmt.Sprintf("protocol version mismatch: joining worker speaks v%d, this coordinator speaks v%d", m.Proto, ProtoVersion)
+		err := fmt.Sprintf("protocol version mismatch: registering worker speaks v%d, this coordinator speaks v%d", m.Proto, ProtoVersion)
 		WriteMessage(rw, &Message{Type: TypeError, Err: err})
 		rw.Close()
 		return Worker{}, errors.New("dist: " + err)
@@ -156,9 +157,8 @@ func (c *workerConn) goodbye() error {
 // for the lifetime of the connection, so a job re-dispatched after a
 // coordinator-side retry is answered from cache rather than
 // re-simulated; completed results are streamed back the moment each
-// simulation finishes, each carrying its wall time, and every batch ends
-// with a cost report of the freshly simulated keys — the feedstock of
-// the coordinator's dispatch-time batch sizing.
+// simulation finishes, each carrying its wall time (the coordinator's
+// span timeline and store records use it). Callers send Register first.
 func Serve(rw io.ReadWriter, opts ...ServeOption) error {
 	var so serveOptions
 	for _, opt := range opts {
@@ -277,7 +277,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	}
 
 	var sendErr error
-	var costs []KeyCost
 	sent := make(map[exp.Key]bool, len(batch))
 	send := func(k exp.Key) {
 		if sendErr != nil {
@@ -296,9 +295,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	hook := func(k exp.Key) {
 		if so.onRun != nil {
 			so.onRun(k)
-		}
-		if elapsed, ok := cache.Elapsed(k); ok && elapsed > 0 {
-			costs = append(costs, KeyCost{Machine: k.Machine, Workload: k.Workload, ElapsedNS: int64(elapsed)})
 		}
 		send(k)
 	}
@@ -330,11 +326,6 @@ func serveBatch(conn *workerConn, m *Message, cache *exp.Cache, arena *exp.Arena
 	}
 	if sendErr != nil {
 		return sendErr
-	}
-	if len(costs) > 0 {
-		if err := conn.send(&Message{Type: TypeCostReport, Costs: costs}); err != nil {
-			return err
-		}
 	}
 	return conn.send(&Message{Type: TypeBatchDone, BatchID: m.BatchID})
 }

@@ -27,17 +27,19 @@ import (
 	"icfp/internal/obs"
 )
 
-// pipeWorkers serves n in-process workers over pipes. Workers carry no
-// registry knowledge: batches are self-describing since protocol v2.
-func pipeWorkers(t *testing.T, n int) []dist.Worker {
+// pipeWorkers serves n in-process workers over pipes and returns them
+// as a fixed fleet: a join channel closed after the last worker. Workers
+// carry no registry knowledge: batches are self-describing.
+func pipeWorkers(t *testing.T, n int) <-chan dist.Worker {
 	t.Helper()
-	workers := make([]dist.Worker, 0, n)
+	fleet := make(chan dist.Worker, n)
 	for i := 0; i < n; i++ {
 		coordEnd, workerEnd := dist.Pipe()
 		go dist.Serve(workerEnd)
-		workers = append(workers, dist.Worker{Name: fmt.Sprintf("w%d", i), RW: coordEnd})
+		fleet <- dist.Worker{Name: fmt.Sprintf("w%d", i), RW: coordEnd}
 	}
-	return workers
+	close(fleet)
+	return fleet
 }
 
 // TestDistributedReportMatchesLocal is the cross-process determinism
@@ -56,7 +58,7 @@ func TestDistributedReportMatchesLocal(t *testing.T) {
 
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	sets, err := registry.ReportDistributed(&distributed, names, p, pipeWorkers(t, 3), 1, cache, dist.Options{Log: testLog(t)})
+	sets, err := registry.ReportDistributed(&distributed, names, p, 1, cache, dist.Options{Join: pipeWorkers(t, 3), Log: testLog(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +83,11 @@ func TestDistributedReportWarmCache(t *testing.T) {
 	p := tinyParams()
 	cache := exp.NewCache()
 	var first bytes.Buffer
-	if _, err := registry.ReportDistributed(&first, names, p, pipeWorkers(t, 2), 1, cache, dist.Options{}); err != nil {
+	if _, err := registry.ReportDistributed(&first, names, p, 1, cache, dist.Options{Join: pipeWorkers(t, 2)}); err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if _, err := registry.ReportDistributed(&second, names, p, nil, 1, cache, dist.Options{}); err != nil {
+	if _, err := registry.ReportDistributed(&second, names, p, 1, cache, dist.Options{}); err != nil {
 		t.Fatalf("warm-cache distributed run must need no workers: %v", err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
@@ -109,7 +111,7 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 	}
 	var distributed bytes.Buffer
 	cache := exp.NewCache()
-	if _, err := registry.ReportSuiteDistributed(&distributed, s, pipeWorkers(t, 2), 1, cache, dist.Options{Log: testLog(t)}); err != nil {
+	if _, err := registry.ReportSuiteDistributed(&distributed, s, 1, cache, dist.Options{Join: pipeWorkers(t, 2), Log: testLog(t)}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(local.Bytes(), distributed.Bytes()) {
@@ -125,7 +127,7 @@ func TestSuiteDistributedMatchesLocal(t *testing.T) {
 // path before any dispatch.
 func TestDistributedReportUnknownExperiment(t *testing.T) {
 	var out bytes.Buffer
-	_, err := registry.ReportDistributed(&out, []string{"nope"}, tinyParams(), nil, 1, nil, dist.Options{})
+	_, err := registry.ReportDistributed(&out, []string{"nope"}, tinyParams(), 1, nil, dist.Options{})
 	if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("err = %v, want unknown-experiment", err)
 	}
@@ -255,7 +257,7 @@ func TestElasticTLSFleetMatchesGolden(t *testing.T) {
 	var out bytes.Buffer
 	cache := exp.NewCache()
 	opts := dist.Options{Join: join, Log: testLog(t)}
-	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), nil, 1, cache, opts); err != nil {
+	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), 1, cache, opts); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), golden) {
@@ -361,17 +363,23 @@ func TestChaosFleetMatchesGolden(t *testing.T) {
 		go dist.Serve(&gateRW{rw: workerEnd, gate: gate})
 		workers = append(workers, dist.Worker{Name: fmt.Sprintf("survivor%d", i), RW: coordEnd})
 	}
+	fleet := make(chan dist.Worker, len(workers))
+	for _, w := range workers {
+		fleet <- w
+	}
+	close(fleet)
 
 	reg := obs.NewRegistry()
 	var out bytes.Buffer
 	cache := exp.NewCache()
 	opts := dist.Options{
-		BatchSize:    8,
+		Join:         fleet,
 		FrameTimeout: 500 * time.Millisecond,
 		Metrics:      reg,
 		Log:          testLog(t),
 	}
-	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), workers, 1, cache, opts); err != nil {
+	// A worker pool of 8 floors every batch at 8 jobs.
+	if _, err := registry.ReportDistributed(&out, registry.DefaultNames(), tinyParams(), 8, cache, opts); err != nil {
 		t.Fatalf("chaos run must still succeed: %v", err)
 	}
 	if !bytes.Equal(out.Bytes(), golden) {

@@ -68,11 +68,17 @@ func (rs *ResultSet) SpeedupCI95(test, base string) (speedupPct, ciPct float64) 
 
 // GeoMeanSpeedup returns the geometric-mean percent speedup over a list
 // of (test, base) result-name pairs — the reduction behind every
-// "geomean" row in the paper's figures.
+// "geomean" row in the paper's figures. It follows SpeedupOver's zero
+// rule: a test result with no cycles (nothing timed) counts as no
+// speedup, so the geomean agrees with the per-pair rows.
 func (rs *ResultSet) GeoMeanSpeedup(pairs [][2]string) float64 {
 	ratios := make([]float64, 0, len(pairs))
 	for _, p := range pairs {
-		ratios = append(ratios, float64(rs.MustGet(p[1]).Cycles)/float64(rs.MustGet(p[0]).Cycles))
+		r := 1.0
+		if t := rs.MustGet(p[0]); t.Cycles != 0 {
+			r = float64(rs.MustGet(p[1]).Cycles) / float64(t.Cycles)
+		}
+		ratios = append(ratios, r)
 	}
 	return (stats.GeoMean(ratios) - 1) * 100
 }

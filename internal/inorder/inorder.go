@@ -120,6 +120,9 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	}
 
 	insts := int64(hi - meas)
+	if insts == 0 {
+		return pipeline.Result{}
+	}
 	ki := float64(insts) / 1000
 	hs := hier.Stats
 	return pipeline.Result{

@@ -22,12 +22,8 @@ const (
 	KeyCause = "cause"
 	// KeyJobs counts jobs (queued, requeued, outstanding).
 	KeyJobs = "jobs"
-	// KeyWorkers counts fleet members.
-	KeyWorkers = "workers"
 	// KeyAddr is a network address (listeners, peers).
 	KeyAddr = "addr"
-	// KeyElastic marks a run whose fleet accepts mid-run joins.
-	KeyElastic = "elastic"
 )
 
 // NewLogger returns the fleet's standard structured logger: slog text

@@ -333,7 +333,7 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 	complete := func(k exp.Key) {
 		res, ok := cache.Lookup(k)
 		if !ok {
-			return // foreign key (cost report echo); nothing to publish
+			return // cannot happen: both hooks fire after the result lands in the cache
 		}
 		rec := exp.CachedResult{Machine: k.Machine, Workload: k.Workload, R: res}
 		if d, ok := cache.Elapsed(k); ok {
@@ -402,7 +402,7 @@ func (s *Server) dispatch(mine []planned, cache *exp.Cache, progress func(exp.Ke
 		opts.Parallel = s.cfg.WorkerParallel
 		opts.Metrics = s.cfg.Metrics
 		opts.OnMerge = complete
-		if rerr := dist.Run(plan, nil, cache, opts); rerr != nil && err == nil {
+		if rerr := dist.Run(plan, cache, opts); rerr != nil && err == nil {
 			err = rerr
 		}
 		return err
