@@ -3,11 +3,14 @@
 //
 // Usage:
 //
-//	icfpsim [-model icfp] [-bench mcf] [-n 400000] [-warm 150000] [-l2lat 20]
+//	icfpsim [-model icfp] [-bench mcf] [-n 400000] [-warm 150000] [-l2lat 20] [-baseline]
 //
-// Models: inorder, runahead, multipass, sltp, icfp.
-// Benchmarks: the 24 SPEC2000 profile names (ammp..wupwise, bzip2..vpr),
-// or scenario:a..scenario:f for the Figure 1 micro-scenarios.
+// Models are the spec model names: in-order, runahead, multipass, sltp,
+// icfp, ooo. Benchmarks: the 24 SPEC2000 profile names (ammp..wupwise,
+// bzip2..vpr), or scenario:a..scenario:f for the Figure 1
+// micro-scenarios (fixed length, no warmup). The run is the spec
+// machine with -warm and -l2lat as overrides on that workload, so an
+// input the spec rejects exits 2 with the spec's error.
 package main
 
 import (
@@ -16,23 +19,18 @@ import (
 	"os"
 	"strings"
 
-	"icfp/internal/sim"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
 var (
-	flagModel = flag.String("model", "icfp", "inorder | runahead | multipass | sltp | icfp")
+	flagModel = flag.String("model", spec.ModelICFP, strings.Join(spec.Models, " | "))
 	flagBench = flag.String("bench", "mcf", "SPEC2000 profile name or scenario:a..scenario:f")
-	flagN     = flag.Int("n", 400_000, "timed instructions")
+	flagN     = flag.Int("n", 400_000, "timed instructions (at least 1)")
 	flagWarm  = flag.Int("warm", 150_000, "warmup instructions")
 	flagL2    = flag.Int("l2lat", 20, "L2 hit latency in cycles")
 	flagBase  = flag.Bool("baseline", false, "also run the in-order baseline and print speedup")
 )
-
-var models = map[string]sim.Model{
-	"inorder": sim.InOrder, "runahead": sim.Runahead,
-	"multipass": sim.Multipass, "sltp": sim.SLTP, "icfp": sim.ICFP,
-}
 
 var scenarios = map[string]workload.Scenario{
 	"scenario:a": workload.ScenarioLoneL2,
@@ -43,43 +41,58 @@ var scenarios = map[string]workload.Scenario{
 	"scenario:f": workload.ScenarioD1DependentL2,
 }
 
+// fail reports a rejected input and exits with the usage status.
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "icfpsim:", err)
+	os.Exit(2)
+}
+
 func main() {
 	flag.Parse()
-	model, ok := models[strings.ToLower(*flagModel)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *flagModel)
+	if *flagN < 1 {
+		fmt.Fprintf(os.Stderr, "icfpsim: -n %d: want at least 1 timed instruction\n", *flagN)
+		flag.Usage()
 		os.Exit(2)
 	}
-	cfg := sim.DefaultConfig()
-	cfg.WarmupInsts = *flagWarm
-	cfg.Hier.L2HitLat = *flagL2
-
-	var load func() *workload.Workload
+	warm := *flagWarm
+	var wl spec.Workload
 	if sc, ok := scenarios[*flagBench]; ok {
-		cfg.WarmupInsts = 0
-		load = func() *workload.Workload { return workload.NewScenario(sc) }
+		warm = 0
+		wl = spec.ScenarioWorkload(sc)
 	} else {
-		name := *flagBench
-		load = func() *workload.Workload { return workload.SPEC(name, cfg.WarmupInsts+*flagN) }
+		wl = spec.SPECWorkload(*flagBench, warm+*flagN)
 	}
+	if err := wl.Validate(); err != nil {
+		fail(err)
+	}
+	m := spec.Machine{Model: strings.ToLower(*flagModel), Overrides: &spec.Overrides{Warmup: spec.Int(warm), L2HitLat: spec.Int(*flagL2)}}
+	run := func(m spec.Machine) spec.Runner {
+		r, err := m.New()
+		if err != nil {
+			fail(err)
+		}
+		return r
+	}
+	r := run(m)
 
-	r := sim.Run(model, cfg, load())
-	fmt.Printf("%s on %s:\n", model, r.Name)
-	fmt.Printf("  cycles        %12d\n", r.Cycles)
-	fmt.Printf("  instructions  %12d   (IPC %.3f)\n", r.Insts, r.IPC())
-	fmt.Printf("  D$ miss/KI    %12.1f   L2 miss/KI %.1f\n", r.DCacheMissPerKI, r.L2MissPerKI)
-	fmt.Printf("  D$ MLP        %12.2f   L2 MLP     %.2f\n", r.DCacheMLP, r.L2MLP)
-	fmt.Printf("  mispredicts   %12d\n", r.BranchMispredicts)
-	if r.Advances > 0 {
-		fmt.Printf("  advances      %12d   advance insts %d\n", r.Advances, r.AdvanceInsts)
-		fmt.Printf("  rally passes  %12d   rally/KI %.0f\n", r.RallyPasses, r.RallyPerKI)
-		fmt.Printf("  squashes      %12d   slice/SB overflows %d/%d\n", r.Squashes, r.SliceOverflows, r.SBOverflows)
+	w := wl.New()
+	res := r.Run(w)
+	fmt.Printf("%s on %s:\n", m.Model, res.Name)
+	fmt.Printf("  cycles        %12d\n", res.Cycles)
+	fmt.Printf("  instructions  %12d   (IPC %.3f)\n", res.Insts, res.IPC())
+	fmt.Printf("  D$ miss/KI    %12.1f   L2 miss/KI %.1f\n", res.DCacheMissPerKI, res.L2MissPerKI)
+	fmt.Printf("  D$ MLP        %12.2f   L2 MLP     %.2f\n", res.DCacheMLP, res.L2MLP)
+	fmt.Printf("  mispredicts   %12d\n", res.BranchMispredicts)
+	if res.Advances > 0 {
+		fmt.Printf("  advances      %12d   advance insts %d\n", res.Advances, res.AdvanceInsts)
+		fmt.Printf("  rally passes  %12d   rally/KI %.0f\n", res.RallyPasses, res.RallyPerKI)
+		fmt.Printf("  squashes      %12d   slice/SB overflows %d/%d\n", res.Squashes, res.SliceOverflows, res.SBOverflows)
 	}
-	if r.SBForwards > 0 {
-		fmt.Printf("  SB forwards   %12d   mean extra hops %.3f\n", r.SBForwards, r.SBExtraHops)
+	if res.SBForwards > 0 {
+		fmt.Printf("  SB forwards   %12d   mean extra hops %.3f\n", res.SBForwards, res.SBExtraHops)
 	}
-	if *flagBase && model != sim.InOrder {
-		base := sim.Run(sim.InOrder, cfg, load())
-		fmt.Printf("  speedup over in-order: %+.1f%%\n", r.SpeedupOver(base))
+	if *flagBase && m.Model != spec.ModelInOrder {
+		base := run(spec.Machine{Model: spec.ModelInOrder, Overrides: m.Overrides}).Run(w)
+		fmt.Printf("  speedup over in-order: %+.1f%%\n", res.SpeedupOver(base))
 	}
 }

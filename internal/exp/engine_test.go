@@ -21,7 +21,7 @@ import (
 // back to the real constructor, so one install covers mixed sets.
 type stubs struct {
 	mu    sync.Mutex
-	byKey map[Key]Runner
+	byKey map[Key]spec.Runner
 }
 
 // install routes the engine's constructor through the stub table for the
@@ -29,7 +29,7 @@ type stubs struct {
 func (s *stubs) install(t *testing.T) {
 	t.Helper()
 	old := newRunner
-	newRunner = func(j Job) (Runner, error) {
+	newRunner = func(j Job) (spec.Runner, error) {
 		s.mu.Lock()
 		r, ok := s.byKey[j.Key()]
 		s.mu.Unlock()
@@ -41,11 +41,11 @@ func (s *stubs) install(t *testing.T) {
 	t.Cleanup(func() { newRunner = old })
 }
 
-func (s *stubs) add(j Job, r Runner) Job {
+func (s *stubs) add(j Job, r spec.Runner) Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.byKey == nil {
-		s.byKey = make(map[Key]Runner)
+		s.byKey = make(map[Key]spec.Runner)
 	}
 	s.byKey[j.Key()] = r
 	return j
@@ -72,6 +72,10 @@ func (s stubRunner) Run(*workload.Workload) pipeline.Result {
 		s.runs.Add(1)
 	}
 	return pipeline.Result{Name: "stub", Cycles: s.cycles, Insts: 100}
+}
+
+func (s stubRunner) RunSampled(w *workload.Workload, _ pipeline.SamplePolicy) pipeline.Result {
+	return s.Run(w)
 }
 
 // stubJob registers a canned-result job: machine mid over workload wid.
@@ -119,6 +123,10 @@ func (s slowRunner) Run(*workload.Workload) pipeline.Result {
 	s.runs.Add(1)
 	<-s.release
 	return pipeline.Result{Name: "slow", Cycles: 7, Insts: 1}
+}
+
+func (s slowRunner) RunSampled(w *workload.Workload, _ pipeline.SamplePolicy) pipeline.Result {
+	return s.Run(w)
 }
 
 func TestRunDefersInFlightDuplicates(t *testing.T) {
@@ -199,6 +207,10 @@ func (r witnessRunner) Run(w *workload.Workload) pipeline.Result {
 	*r.seen = append(*r.seen, w)
 	r.mu.Unlock()
 	return pipeline.Result{Name: w.Name, Cycles: 1, Insts: 1}
+}
+
+func (r witnessRunner) RunSampled(w *workload.Workload, _ pipeline.SamplePolicy) pipeline.Result {
+	return r.Run(w)
 }
 
 // TestRunSharesWorkloadsWithinRun pins that Run routes every job through

@@ -32,9 +32,6 @@ import (
 	"icfp/internal/spec"
 )
 
-// Runner runs a workload; every machine a spec can name satisfies it.
-type Runner = spec.Runner
-
 // Job is one named simulation: a declared machine run over a declared
 // workload. Job names index the ResultSet and must be unique within one
 // Run call; distinct jobs may share a cache key (equal canonical machine
@@ -71,7 +68,7 @@ func KeyOf(sj spec.Job) Key {
 
 // newRunner builds a job's machine; engine tests swap it to inject
 // synthetic runners (see engine_test.go).
-var newRunner = func(j Job) (Runner, error) { return j.Machine.New() }
+var newRunner = func(j Job) (spec.Runner, error) { return j.Machine.New() }
 
 // Cache memoizes simulation results across Run calls. The zero value is
 // not usable; create one with NewCache. A single cache may be shared by
@@ -396,10 +393,7 @@ func Run(jobs []Job, opts ...Option) (*ResultSet, error) {
 					wk := o.arena.Get(j.Workload)
 					var res pipeline.Result
 					if pol := j.Workload.Sampling; pol.Live() {
-						// Every machine a spec can name implements sampled
-						// runs; synthetic test runners that don't simply
-						// cannot be asked for a live sampled workload.
-						res = r.(spec.SampledRunner).RunSampled(wk, pol.Policy())
+						res = r.RunSampled(wk, pol.Policy())
 					} else {
 						res = r.Run(wk)
 					}

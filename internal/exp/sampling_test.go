@@ -140,12 +140,12 @@ func TestSampledSpeedupAndAccuracy(t *testing.T) {
 	w := arena.Get(sampled) // shared with the full jobs: sampling is not part of the base identity
 	pol := sampled.Sampling.Policy()
 
-	newMachine := func(model string) spec.SampledRunner {
+	newMachine := func(model string) spec.Runner {
 		r, err := spec.Machine{Model: model}.New()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.(spec.SampledRunner)
+		return r
 	}
 	// cpu runs f after a fresh GC and returns its result and the process
 	// CPU time it took.

@@ -27,7 +27,7 @@ func TestWarmStateSharedAcrossTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sampled {
-			return r.(spec.SampledRunner).RunSampled(w, pol)
+			return r.RunSampled(w, pol)
 		}
 		return r.Run(w)
 	}

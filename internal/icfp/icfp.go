@@ -16,7 +16,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
 
@@ -156,16 +155,9 @@ type run struct {
 	finish   int64
 	sraUntil int64 // simple-runahead episode active until this cycle
 
-	dTrack, l2Track stats.MLPTracker
-	res             pipeline.Result
-
-	// Measurement-crossing snapshot (ramp support): latched once when the
-	// tail cursor first reaches meas.
-	crossed  bool
-	measBase int64
-	res0     pipeline.Result
-	hs0      mem.Stats
-	fwd0     uint64
+	res   pipeline.Result
+	meter *pipeline.Meter
+	fwd0  uint64 // chained store-buffer forwards at the measurement crossing
 }
 
 // Run simulates the workload to completion.
@@ -184,12 +176,11 @@ func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pi
 }
 
 // runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): the cycle
-// loop latches a counter snapshot when the tail cursor first reaches
-// meas and the result reports differences (slice/rally work in flight at
-// the crossing is charged to the ramp). External store events are
-// replayed from the start of every window (their cycles are
-// window-relative).
+// the given warmed state at cycle 0, measuring [meas, hi) with a
+// pipeline.Meter: the crossing is taken when the tail cursor first
+// reaches meas (slice/rally work in flight at the crossing is charged
+// to the ramp). External store events are replayed from the start of
+// every window (their cycles are window-relative).
 func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
 	cfg := m.cfg
 	r := &run{cfg: &cfg, sbMode: m.sbMode, tr: w.Trace, end: hi, meas: meas, ext: m.ExternalStores}
@@ -212,32 +203,17 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 
 	r.i = start
 
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		r.dTrack.Add(start, done)
-		if l2 {
-			r.l2Track.Add(start, done)
-		}
-	}
+	r.meter = pipeline.NewMeter(r.hier, meas, hi)
+	r.meter.ObserveMisses()
 
 	r.loop()
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
+	res := r.meter.Result(r.finish, r.res)
+	if res.Insts == 0 {
+		return res
 	}
-	ki := float64(insts) / 1000
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, r.res0)
-	res.Cycles = r.finish - r.measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-r.hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-r.hs0.DataL2Misses) / ki
-	// MLP and store-buffer hop shapes observe the whole detailed range,
-	// ramp included: they are distribution summaries, not extensive
-	// counters, and the ramp's samples come from the same machine state.
-	res.DCacheMLP = r.dTrack.MLP()
-	res.L2MLP = r.l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
+	// Store-buffer hop shapes, like MLP, observe the whole detailed
+	// range, ramp included.
 	res.SBForwards = r.csb.Forwards - r.fwd0
 	res.SBExtraHops = r.csb.MeanExtraHops()
 	res.SBHopsAtLeast = r.csb.Hops.FractionAtLeast(5)
@@ -622,13 +598,12 @@ func (r *run) stage() bool {
 	if r.i >= r.end {
 		return false
 	}
-	if !r.crossed && r.i >= r.meas {
-		// First tail instruction of the measurement range: snapshot every
-		// counter the result reports as a difference. A later squash may
-		// rewind the cursor below meas; the latch stays set — replay work
-		// caused inside the measurement range is charged to it.
-		r.crossed = true
-		r.measBase, r.res0, r.hs0, r.fwd0 = r.finish, r.res, r.hier.Stats, r.csb.Forwards
+	if !r.meter.Crossed() && r.i >= r.meas {
+		// First tail instruction of the measurement range. A later squash
+		// may rewind the cursor below meas; the latch stays set — replay
+		// work caused inside the measurement range is charged to it.
+		r.meter.Cross(r.finish, r.res)
+		r.fwd0 = r.csb.Forwards
 	}
 	in := r.tr.At(r.i)
 	r.st.idx = r.i

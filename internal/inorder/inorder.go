@@ -10,7 +10,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
 
@@ -39,23 +38,15 @@ func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pi
 
 // runWindow runs the detailed pipeline over trace indexes [start, hi)
 // starting from the given warmed hierarchy and predictor at cycle 0,
-// measuring [meas, hi): counters are snapshotted when the loop crosses
-// meas and the result reports differences. MLP is the one exception —
-// its trackers observe the whole detailed range, ramp included.
+// measuring [meas, hi) with a pipeline.Meter.
 func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
 	cfg := m.cfg
 	front := pipeline.NewFrontend(&cfg, hier, pred)
 	slots := pipeline.NewSlotAlloc(&cfg)
 	sb := pipeline.NewStoreBuffer(cfg.StoreBufEntries, hier)
 	var board pipeline.Scoreboard
-
-	var dTrack, l2Track stats.MLPTracker
-	hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
+	meter := pipeline.NewMeter(hier, meas, hi)
+	meter.ObserveMisses()
 
 	tr := w.Trace
 
@@ -63,12 +54,9 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	var lastIssue int64
 	var mispredicts uint64
 
-	var measBase int64 // finish when detailed execution crossed meas
-	var misp0 uint64   // mispredicts at the crossing
-	var hs0 mem.Stats  // hierarchy counters at the crossing
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, misp0, hs0 = finish, mispredicts, hier.Stats
+			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
 		in := tr.At(i)
 		earliest := front.Avail(in)
@@ -119,19 +107,5 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		}
 	}
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := hier.Stats
-	return pipeline.Result{
-		Cycles:            finish - measBase,
-		Insts:             insts,
-		DCacheMissPerKI:   float64(hs.DataL1Misses-hs0.DataL1Misses) / ki,
-		L2MissPerKI:       float64(hs.DataL2Misses-hs0.DataL2Misses) / ki,
-		DCacheMLP:         dTrack.MLP(),
-		L2MLP:             l2Track.MLP(),
-		BranchMispredicts: mispredicts - misp0,
-	}
+	return meter.Result(finish, pipeline.Result{BranchMispredicts: mispredicts})
 }

@@ -119,12 +119,14 @@ func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pi
 }
 
 // runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi) (counters are
-// snapshotted at the crossing and reported as differences).
+// the given warmed state at cycle 0, measuring [meas, hi) with a
+// pipeline.Meter. The model installs no miss hook, so it reports zero
+// MLP.
 func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
 	cfg := m.cfg
 	front := pipeline.NewFrontend(&cfg.Config, hier, pred)
 	sb := pipeline.NewStoreBuffer(cfg.StoreBufEntries, hier)
+	meter := pipeline.NewMeter(hier, meas, hi)
 
 	tr := w.Trace
 
@@ -142,12 +144,9 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	var mispredicts uint64
 	pipe := int64(cfg.DCachePipe)
 
-	var measBase int64
-	var misp0 uint64
-	var hs0 mem.Stats
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, misp0, hs0 = finish, mispredicts, hier.Stats
+			meter.Cross(finish, pipeline.Result{BranchMispredicts: mispredicts})
 		}
 		in := tr.At(i)
 		k := (i - start) % cfg.ROBEntries
@@ -237,17 +236,5 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		}
 	}
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := hier.Stats
-	return pipeline.Result{
-		Cycles:            finish - measBase,
-		Insts:             insts,
-		DCacheMissPerKI:   float64(hs.DataL1Misses-hs0.DataL1Misses) / ki,
-		L2MissPerKI:       float64(hs.DataL2Misses-hs0.DataL2Misses) / ki,
-		BranchMispredicts: mispredicts - misp0,
-	}
+	return meter.Result(finish, pipeline.Result{BranchMispredicts: mispredicts})
 }

@@ -178,9 +178,9 @@ func CombineWindows(name string, parts []Result) Result {
 // only [meas, end) — Cycles, Insts, and every event counter cover the
 // measured range (the [start, meas) ramp re-creates execution-dependent
 // state functional warming cannot) — and report the window's Result
-// (Name left empty). Full runs always have start == meas, so the
-// snapshot a model takes at the measurement boundary is the zero state
-// and the historical single-pass result is reproduced exactly.
+// (Name left empty); a Meter does that bookkeeping. Full runs always
+// have start == meas, so the Meter's crossing snapshot is the zero
+// state and the historical single-pass result is reproduced exactly.
 func RunWindowed(w *workload.Workload, cfg *Config, pol SamplePolicy,
 	runWindow func(hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, end int) Result) Result {
 	n := w.Trace.Len()
@@ -199,23 +199,4 @@ func RunWindowed(w *workload.Workload, cfg *Config, pol SamplePolicy,
 		parts = append(parts, runWindow(hier, pred, start, win.Start, win.End))
 	}
 	return CombineWindows(w.Name, parts)
-}
-
-// SubCounters returns a with every additive event counter reduced by its
-// value in b — the measurement-boundary bookkeeping behind ramped
-// windows, where a model snapshots its counters when detailed simulation
-// crosses into the measured range and reports only the difference.
-// Derived rates and identity fields are left untouched.
-func SubCounters(a, b Result) Result {
-	a.BranchMispredicts -= b.BranchMispredicts
-	a.Advances -= b.Advances
-	a.AdvanceInsts -= b.AdvanceInsts
-	a.RallyInsts -= b.RallyInsts
-	a.RallyPasses -= b.RallyPasses
-	a.SliceOverflows -= b.SliceOverflows
-	a.SBOverflows -= b.SBOverflows
-	a.PoisonAddrObs -= b.PoisonAddrObs
-	a.Squashes -= b.Squashes
-	a.SBForwards -= b.SBForwards
-	return a
 }

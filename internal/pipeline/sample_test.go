@@ -196,12 +196,12 @@ func TestRunWindowedRampBounds(t *testing.T) {
 func TestSubCounters(t *testing.T) {
 	a := Result{Cycles: 100, Insts: 50, BranchMispredicts: 9, Advances: 5, RallyInsts: 30, SBForwards: 12, DCacheMissPerKI: 7.5}
 	b := Result{BranchMispredicts: 4, Advances: 2, RallyInsts: 10, SBForwards: 5}
-	got := SubCounters(a, b)
+	got := subCounters(a, b)
 	if got.BranchMispredicts != 5 || got.Advances != 3 || got.RallyInsts != 20 || got.SBForwards != 7 {
-		t.Fatalf("SubCounters = %+v", got)
+		t.Fatalf("subCounters = %+v", got)
 	}
 	// Non-counter fields pass through untouched.
 	if got.Cycles != 100 || got.Insts != 50 || got.DCacheMissPerKI != 7.5 {
-		t.Fatalf("SubCounters touched non-counter fields: %+v", got)
+		t.Fatalf("subCounters touched non-counter fields: %+v", got)
 	}
 }

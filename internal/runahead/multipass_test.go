@@ -1,12 +1,22 @@
-package multipass
+package runahead_test
+
+// Multipass as the spec builds it: runahead.NewMultipass behind the
+// paper's advance trigger (L2 plus primary D$ misses, blocking on
+// secondary D$ misses) unless the machine names its own.
 
 import (
 	"testing"
 
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
+	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
+
+// multipass builds the paper's Multipass machine on cfg.
+func multipass(cfg pipeline.Config) spec.Runner {
+	return spec.Machine{Model: spec.ModelMultipass}.Build(cfg)
+}
 
 func TestMultipassAcceleratesReexecution(t *testing.T) {
 	// The result buffer breaks dependences on re-execution passes, so
@@ -17,7 +27,7 @@ func TestMultipassAcceleratesReexecution(t *testing.T) {
 	wins := 0
 	for _, name := range []string{"ammp", "mcf", "gap"} {
 		ra := runahead.New(cfg).Run(workload.SPEC(name, 250_000))
-		mp := New(cfg).Run(workload.SPEC(name, 250_000))
+		mp := multipass(cfg).Run(workload.SPEC(name, 250_000))
 		if mp.Cycles <= ra.Cycles {
 			wins++
 		}
@@ -32,26 +42,27 @@ func TestMultipassAdvancesUnderPrimaryD1(t *testing.T) {
 	// so it advances even on workloads without L2 misses.
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 50_000
-	r := New(cfg).Run(workload.SPEC("twolf", 200_000))
+	r := multipass(cfg).Run(workload.SPEC("twolf", 200_000))
 	if r.Advances == 0 {
 		t.Fatal("Multipass must advance under twolf's D$ misses")
 	}
 }
 
-func TestExplicitTriggerOverride(t *testing.T) {
+func TestMultipassExplicitTriggerOverride(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 50_000
-	l2 := NewWithTrigger(cfg, pipeline.TriggerL2Only, true).Run(workload.SPEC("twolf", 200_000))
+	m := spec.Machine{Model: spec.ModelMultipass, Trigger: spec.TriggerL2}
+	l2 := m.Build(cfg).Run(workload.SPEC("twolf", 200_000))
 	if l2.Advances != 0 {
 		t.Fatalf("L2-only Multipass advanced %d times on an L2-hit workload", l2.Advances)
 	}
 }
 
-func TestDeterminism(t *testing.T) {
+func TestMultipassDeterminism(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	cfg.WarmupInsts = 20_000
-	a := New(cfg).Run(workload.SPEC("gcc", 120_000))
-	b := New(cfg).Run(workload.SPEC("gcc", 120_000))
+	a := multipass(cfg).Run(workload.SPEC("gcc", 120_000))
+	b := multipass(cfg).Run(workload.SPEC("gcc", 120_000))
 	if a.Cycles != b.Cycles {
 		t.Fatalf("non-deterministic: %d vs %d", a.Cycles, b.Cycles)
 	}

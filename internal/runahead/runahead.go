@@ -18,7 +18,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
 
@@ -47,7 +46,10 @@ func New(cfg pipeline.Config) *Machine {
 
 // NewMultipass returns a Multipass machine: Runahead plus a result buffer
 // that saves miss-independent advance results and uses them to break
-// dependences during re-execution passes.
+// dependences during re-execution passes. It runs on cfg's advance
+// trigger as given; the paper's Multipass setting (L2 plus primary D$
+// misses, blocking on secondary D$ misses) is what spec.Machine.Build
+// sets for the multipass model.
 func NewMultipass(cfg pipeline.Config) *Machine {
 	return &Machine{cfg: cfg, multipass: true}
 }
@@ -106,11 +108,10 @@ func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pi
 }
 
 // runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): counters are
-// snapshotted when the step loop crosses meas and the result reports
-// differences. An advance episode in flight at the crossing is charged
-// to the ramp (the snapshot happens between normal-mode steps), a
-// boundary effect bounded by one episode.
+// the given warmed state at cycle 0, measuring [meas, hi) with a
+// pipeline.Meter. An advance episode in flight at the crossing is
+// charged to the ramp (the step loop crosses between normal-mode
+// steps), a boundary effect bounded by one episode.
 func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
 	cfg := m.cfg
 	r := &run{cfg: &cfg, mp: m.multipass, tr: w.Trace, end: hi}
@@ -131,20 +132,11 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		r.resMark = m.resMark
 	}
 
-	var dTrack, l2Track stats.MLPTracker
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
-
-	var measBase int64
-	var res0 pipeline.Result
-	var hs0 mem.Stats
+	meter := pipeline.NewMeter(r.hier, meas, hi)
+	meter.ObserveMisses()
 	for i := start; i < hi; i++ {
 		if i == meas {
-			measBase, res0, hs0 = r.finish, r.res, r.hier.Stats
+			meter.Cross(r.finish, r.res)
 		}
 		r.step(i)
 	}
@@ -156,21 +148,7 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 		clear(r.resMark)
 	}
 
-	insts := int64(hi - meas)
-	ki := float64(insts) / 1000
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, res0)
-	res.Cycles = r.finish - measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-hs0.DataL2Misses) / ki
-	res.DCacheMLP = dTrack.MLP()
-	res.L2MLP = l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
-	return res
+	return meter.Result(r.finish, r.res)
 }
 
 // triggered reports whether a load serviced at level enters advance mode.

@@ -10,7 +10,7 @@ import (
 
 // TestJobBuildsModelRunner pins the bridge from Model into the harness:
 // a job naming m.Spec() with cfg's divergence as overrides simulates
-// exactly what the direct New path does.
+// exactly what the direct Run path does.
 func TestJobBuildsModelRunner(t *testing.T) {
 	cfg := quickCfg()
 	ov, err := spec.OverridesFor(cfg)

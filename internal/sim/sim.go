@@ -1,23 +1,18 @@
-// Package sim names the five simulated micro-architectures and runs
-// workloads against them directly.
+// Package sim names the five machines of the paper's evaluation and
+// runs workloads against them on a concrete pipeline.Config.
 //
-// Each Model maps to its declarative spec.Machine (Model.Spec), and
-// spec.Machine.New is the one constructor path behind the experiment
-// harness; the paper's figures are registry suites
-// (internal/exp/registry). The direct New/Run helpers remain for
+// Each Model maps to its declarative spec.Machine (Model.Spec), and the
+// spec's build step constructs it: Run is m.Spec().Build(cfg).Run(w),
+// so this package imports no model package. The harness, the registry
+// and the CLIs name machines by spec model strings; Model remains for
 // programmatic use (unit tests, fuzzing, benchmarks) where a concrete
-// pipeline.Config in hand is more convenient than a spec.
+// configuration in hand is more convenient than a spec.
 package sim
 
 import (
 	"fmt"
 
-	"icfp/internal/icfp"
-	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/pipeline"
-	"icfp/internal/runahead"
-	"icfp/internal/sltp"
 	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
@@ -79,29 +74,11 @@ func DefaultConfig() pipeline.Config {
 	return spec.BaseConfig()
 }
 
-// New constructs model m on the given configuration. Each model applies
-// its own paper configuration for the advance trigger (Figure 5's
-// settings); use machine specs (or the model packages directly) for
-// trigger sensitivity studies.
-func New(m Model, cfg pipeline.Config) Runner {
-	switch m {
-	case InOrder:
-		return inorder.New(cfg)
-	case Runahead:
-		return runahead.New(cfg)
-	case Multipass:
-		return multipass.New(cfg)
-	case SLTP:
-		return sltp.New(cfg)
-	case ICFP:
-		return icfp.New(cfg)
-	}
-	panic(fmt.Sprintf("sim: unknown model %d", int(m)))
-}
-
-// Run simulates workload w on model m.
+// Run simulates workload w on model m with configuration cfg, each
+// model applying its paper advance trigger (Model.Spec leaves it
+// unset).
 func Run(m Model, cfg pipeline.Config, w *workload.Workload) pipeline.Result {
-	return New(m, cfg).Run(w)
+	return m.Spec().Build(cfg).Run(w)
 }
 
 // RunSPEC simulates the named SPEC2000-profile benchmark with n timed
@@ -110,6 +87,3 @@ func RunSPEC(m Model, cfg pipeline.Config, name string, n int) pipeline.Result {
 	w := workload.SPEC(name, cfg.WarmupInsts+n)
 	return Run(m, cfg, w)
 }
-
-// Runner runs a workload (satisfied by every machine in this module).
-type Runner = spec.Runner

@@ -19,7 +19,6 @@ import (
 	"icfp/internal/isa"
 	"icfp/internal/mem"
 	"icfp/internal/pipeline"
-	"icfp/internal/stats"
 	"icfp/internal/workload"
 )
 
@@ -128,10 +127,10 @@ func (m *Machine) RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pi
 }
 
 // runWindow runs the detailed model over trace indexes [start, hi) from
-// the given warmed state at cycle 0, measuring [meas, hi): counters are
-// snapshotted the first time the step loop reaches meas (step can both
-// jump forward past an episode and rewind on a squash, so the crossing
-// is latched once) and the result reports differences.
+// the given warmed state at cycle 0, measuring [meas, hi) with a
+// pipeline.Meter. The crossing is taken the first time the step loop
+// reaches meas: step can both jump forward past an episode and rewind
+// on a squash.
 func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpred.Predictor, start, meas, hi int) pipeline.Result {
 	cfg := m.cfg
 	if m.slice == nil {
@@ -151,41 +150,16 @@ func (m *Machine) runWindow(w *workload.Workload, hier *mem.Hierarchy, pred *bpr
 	r.slots = pipeline.NewSlotAlloc(&cfg)
 	r.sb = pipeline.NewStoreBuffer(cfg.StoreBufEntries, r.hier)
 
-	var dTrack, l2Track stats.MLPTracker
-	r.hier.MissObserver = func(start, done int64, l2 bool) {
-		dTrack.Add(start, done)
-		if l2 {
-			l2Track.Add(start, done)
-		}
-	}
-
-	var measBase int64
-	var res0 pipeline.Result
-	var hs0 mem.Stats
-	crossed := false
+	meter := pipeline.NewMeter(r.hier, meas, hi)
+	meter.ObserveMisses()
 	for i := start; i < hi; {
-		if !crossed && i >= meas {
-			crossed = true
-			measBase, res0, hs0 = r.finish, r.res, r.hier.Stats
+		if !meter.Crossed() && i >= meas {
+			meter.Cross(r.finish, r.res)
 		}
 		i = r.step(i)
 	}
 
-	insts := int64(hi - meas)
-	if insts == 0 {
-		return pipeline.Result{}
-	}
-	ki := float64(insts) / 1000
-	hs := r.hier.Stats
-	res := pipeline.SubCounters(r.res, res0)
-	res.Cycles = r.finish - measBase
-	res.Insts = insts
-	res.DCacheMissPerKI = float64(hs.DataL1Misses-hs0.DataL1Misses) / ki
-	res.L2MissPerKI = float64(hs.DataL2Misses-hs0.DataL2Misses) / ki
-	res.DCacheMLP = dTrack.MLP()
-	res.L2MLP = l2Track.MLP()
-	res.RallyPerKI = float64(res.RallyInsts) / ki
-	return res
+	return meter.Result(r.finish, r.res)
 }
 
 // take allocates an issue slot, via the strict cycle walk when the

@@ -5,7 +5,6 @@ import (
 
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/ooo"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
@@ -50,36 +49,46 @@ func sbMode(name string) icfp.SBMode {
 }
 
 // New constructs the declared machine — the one constructor path behind
-// the harness, the registry, and distributed workers. An empty Trigger
-// leaves each model its paper default (runahead honours the base
-// configuration's L2-only/D$-blocking setting; multipass forces
-// L2+primary-D$; sltp always L2-only; icfp advances under all misses).
+// the harness, the registry, and distributed workers: Config, then
+// Build.
 func (m Machine) New() (Runner, error) {
 	cfg, err := m.Config()
 	if err != nil {
 		return nil, err
 	}
+	return m.Build(cfg), nil
+}
+
+// Build constructs the declared machine on cfg, a concrete
+// configuration such as Config returns; the machine must be valid. An
+// empty Trigger leaves each model its paper default: runahead honours
+// cfg's trigger and D$-blocking setting; multipass advances under L2
+// and primary D$ misses, blocking on secondary D$ misses; sltp always
+// advances under L2 misses only; icfp advances under all misses. An
+// explicit trigger replaces cfg's and leaves its D$-blocking setting as
+// configured.
+func (m Machine) Build(cfg pipeline.Config) Runner {
+	if m.Trigger != "" {
+		cfg.Trigger = trigger(m.Trigger)
+	}
 	switch m.Model {
 	case ModelInOrder:
-		return inorder.New(cfg), nil
+		return inorder.New(cfg)
 	case ModelRunahead:
-		if m.Trigger != "" {
-			cfg.Trigger = trigger(m.Trigger)
-		}
-		return runahead.New(cfg), nil
+		return runahead.New(cfg)
 	case ModelMultipass:
-		if m.Trigger != "" {
-			return multipass.NewWithTrigger(cfg, trigger(m.Trigger), cfg.BlockSecondaryD1), nil
+		if m.Trigger == "" {
+			cfg.Trigger = pipeline.TriggerPrimaryD1
+			cfg.BlockSecondaryD1 = true
 		}
-		return multipass.New(cfg), nil
+		return runahead.NewMultipass(cfg)
 	case ModelSLTP:
-		return sltp.New(cfg), nil
+		return sltp.New(cfg)
 	case ModelICFP:
-		trig := pipeline.TriggerAll
-		if m.Trigger != "" {
-			trig = trigger(m.Trigger)
+		if m.Trigger == "" {
+			cfg.Trigger = pipeline.TriggerAll
 		}
-		return icfp.NewWithOptions(cfg, trig, sbMode(m.StoreBuffer)), nil
+		return icfp.NewWithOptions(cfg, cfg.Trigger, sbMode(m.StoreBuffer))
 	case ModelOOO:
 		oc := ooo.DefaultConfig()
 		oc.Config = cfg
@@ -87,7 +96,7 @@ func (m Machine) New() (Runner, error) {
 		if m.Overrides != nil && m.Overrides.ROBEntries != nil {
 			oc.ROBEntries = *m.Overrides.ROBEntries
 		}
-		return ooo.New(oc), nil
+		return ooo.New(oc)
 	}
-	return nil, fmt.Errorf("spec: unknown model %q", m.Model)
+	panic(fmt.Sprintf("spec: unvalidated model %q", m.Model))
 }

@@ -10,7 +10,6 @@ import (
 
 	"icfp/internal/pipeline"
 	"icfp/internal/spec"
-	"icfp/internal/workload"
 )
 
 var updateResultGolden = flag.Bool("update", false, "rewrite testdata/result_golden.json from this run")
@@ -60,9 +59,7 @@ func TestResultGolden(t *testing.T) {
 			}
 			var res pipeline.Result
 			if wl.Sampling != nil {
-				res = r.(interface {
-					RunSampled(*workload.Workload, pipeline.SamplePolicy) pipeline.Result
-				}).RunSampled(trace, wl.Sampling.Policy())
+				res = r.RunSampled(trace, wl.Sampling.Policy())
 			} else {
 				res = r.Run(trace)
 			}

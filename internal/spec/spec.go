@@ -28,17 +28,10 @@ import (
 	"icfp/internal/workload"
 )
 
-// Runner runs a workload; every machine a spec can name satisfies it.
+// Runner runs a workload, in full or under a sampling policy; every
+// machine a spec can name satisfies it.
 type Runner interface {
 	Run(w *workload.Workload) pipeline.Result
-}
-
-// SampledRunner additionally runs a workload under a sampling policy.
-// Every machine a spec can name satisfies it too; the split interface
-// keeps Runner — the minimal contract third-party harness code holds —
-// unchanged.
-type SampledRunner interface {
-	Runner
 	RunSampled(w *workload.Workload, pol pipeline.SamplePolicy) pipeline.Result
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"icfp/internal/icfp"
 	"icfp/internal/inorder"
-	"icfp/internal/multipass"
 	"icfp/internal/ooo"
 	"icfp/internal/pipeline"
 	"icfp/internal/runahead"
@@ -80,10 +79,13 @@ func TestMachineNewMatchesDirectConstructors(t *testing.T) {
 	w := workload.SPEC("mcf", cfg.WarmupInsts+20_000)
 	warm := &spec.Overrides{Warmup: spec.Int(5_000)}
 
+	mpCfg := cfg
+	mpCfg.Trigger = pipeline.TriggerPrimaryD1
+	mpCfg.BlockSecondaryD1 = true
 	direct := map[string]spec.Runner{
 		"in-order":  inorder.New(cfg),
 		"runahead":  runahead.New(cfg),
-		"multipass": multipass.New(cfg),
+		"multipass": runahead.NewMultipass(mpCfg),
 		"sltp":      sltp.New(cfg),
 		"icfp":      icfp.New(cfg),
 		"icfp-l2":   icfp.NewWithOptions(cfg, pipeline.TriggerL2Only, icfp.SBChained),

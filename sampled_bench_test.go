@@ -16,7 +16,6 @@ import (
 
 	"icfp/internal/pipeline"
 	"icfp/internal/sim"
-	"icfp/internal/spec"
 	"icfp/internal/workload"
 )
 
@@ -35,7 +34,7 @@ func BenchmarkSampledRate(b *testing.B) {
 			var errpct float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := sim.New(m, cfg).(spec.SampledRunner).RunSampled(w, pol)
+				r := m.Spec().Build(cfg).RunSampled(w, pol)
 				insts += int64(w.Trace.Len())
 				errpct = 100 * math.Abs(r.CPI()-full.CPI()) / full.CPI()
 			}
